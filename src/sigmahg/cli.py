@@ -2,7 +2,8 @@
 
 Table output is for humans; JSON (``--format json``) is the machine
 contract.  Exit codes: 0 success, 1 invalid input, 2 regime not applicable
-or no such design, 3 oracle budget exceeded, 4 verification violations.
+or no such design, 3 budget exceeded (an oracle, or ``edges --list`` over the
+edge budget), 4 verification violations.
 """
 
 from __future__ import annotations
@@ -154,27 +155,20 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _wrap(matching_obj: core.Matching, spec: core.HypergraphSpec, strategy: str):
-    return matching.MatchingReport(
-        matching_obj,
-        len(matching_obj.edges),
-        spec.num_vertices - spec.r * len(matching_obj.edges),
-        strategy,
-    )
-
-
 def _cmd_match(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
     if args.strategy == "auto":
         report = matching.best_matching(spec)
     elif args.strategy == "diagonal":
-        report = _wrap(matching.diagonal_perfect_matching(spec), spec, "diagonal")
+        report = matching.MatchingReport.of(
+            spec, matching.diagonal_perfect_matching(spec), "diagonal"
+        )
     elif args.strategy == "rectangular":
         report = matching.rectangular_maximum_matching(spec)
     elif args.strategy == "rgood":
         report = matching.r_good_maximum_matching(spec, permissive=args.permissive)
     else:
-        report = _wrap(matching.greedy_matching(spec), spec, "greedy")
+        report = matching.MatchingReport.of(spec, matching.greedy_matching(spec), "greedy")
     payload = {"spec": core.spec_to_json(spec)}
     payload.update(matching.report_to_json(report))
     if args.emit:
@@ -209,8 +203,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_edges(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
-    payload: dict = {"spec": core.spec_to_json(spec), "count": core.count_edges(spec)}
+    count = core.count_edges(spec)
+    payload: dict = {"spec": core.spec_to_json(spec), "count": count}
     if args.list:
+        limit = _budget().max_edges
+        if count > limit:
+            raise BudgetExceeded(f"--list would print {count} edges, over the budget of {limit}")
         payload["edges"] = [core.edge_to_json(e) for e in core.enumerate_edges(spec)]
     _emit(payload, args.format)
     return EXIT_OK

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import NamedTuple
 
 from .core import (
@@ -68,9 +67,23 @@ class MatchingReport:
     certificates: tuple[tuple[str, int], ...] = ()
     proven: bool = True
 
+    @classmethod
+    def of(
+        cls,
+        spec: HypergraphSpec,
+        m: Matching,
+        strategy: str,
+        certificates: tuple[tuple[str, int], ...] = (),
+        proven: bool = True,
+    ) -> MatchingReport:
+        """Report on matching m of spec; every vertex no edge covers counts
+        as unmatched."""
+        nu = len(m.edges)
+        return cls(m, nu, spec.num_vertices - spec.r * nu, strategy, certificates, proven)
+
 
 class DiagonalPart(NamedTuple):
-    """One main-diagonal part of a square-block matching fragment."""
+    """One part that an exchange frees from a square-block fragment."""
 
     edge_pos: int  # index into the fragment's edge list
     class_index: int
@@ -80,8 +93,12 @@ class DiagonalPart(NamedTuple):
 
 @dataclass(frozen=True)
 class DlsFragment:
-    """s edges perfectly covering an r x s subgrid, one per square row,
-    with the main-diagonal parts singled out for exchange augmentation."""
+    """Edges perfectly covering an r x s subgrid, plus the parts an exchange
+    may free from them, at most one per symbol.
+
+    A diagonal-Latin-square block (s >= 3) frees its s main-diagonal parts,
+    one of every symbol; a two-part pair block frees one part of symbol 1.
+    """
 
     edges: tuple[Edge, ...]
     diagonal: tuple[DiagonalPart, ...]
@@ -348,12 +365,9 @@ def all_ones_maximum_matching(spec: HypergraphSpec) -> MatchingReport:
         edges.append(Edge(tuple(freed)))
     leftover = corner[groups * r :]
 
-    matching = Matching(tuple(edges), VertexSet(frozenset(leftover)))
-    nu = len(edges)
-    return MatchingReport(
-        matching,
-        nu,
-        len(leftover),
+    return MatchingReport.of(
+        spec,
+        Matching(tuple(edges), VertexSet(frozenset(leftover))),
         "all-ones",
         certificates=(
             ("nu_upper", (n * q) // r),
@@ -385,10 +399,9 @@ def rectangular_maximum_matching(spec: HypergraphSpec) -> MatchingReport:
         raise SigmaHypergraphError(
             f"internal: constructed {nu} edges, expected {expected}"
         )
-    return MatchingReport(
+    return MatchingReport.of(
+        spec,
         matching,
-        nu,
-        spec.num_vertices - r * nu,
         "rectangular",
         certificates=(
             ("nu_upper", (n * q) // r),
@@ -427,52 +440,30 @@ def find_r_good_split(sigma: Sigma) -> RGoodSplit | None:
     return RGoodSplit(combo, other, a, r - a, L)
 
 
-@lru_cache(maxsize=64)
-def _dls_cells(order: int) -> tuple[tuple[int, ...], ...] | None:
-    """First-fit backtracking search for a diagonal Latin square.
+def _dls_cells(order: int) -> tuple[tuple[int, ...], ...]:
+    """Cells of a diagonal Latin square of order 1 or any order >= 3.
 
-    Cells are visited main diagonal first, then row-major; plain row-major
-    order stalls for hours from order 9 up, while pinning the diagonal
-    early keeps every order through at least 12 effectively instant.
+    Odd order: the cyclic square (i + j) mod order, whose diagonal 2i mod
+    order is a permutation.  Even order: the cyclic square of odd order
+    m = order - 1 prolonged along its transversal (i, i+1 mod m); each
+    transversal cell hands its symbol to (i, m) and (m, i+1 mod m) and takes
+    the new symbol m, and (m, m) = m.  The transversal avoids the main
+    diagonal, so the diagonal stays a transversal.
     """
-    cells = [[-1] * order for _ in range(order)]
-    row_used = [set() for _ in range(order)]
-    col_used = [set() for _ in range(order)]
-    diag_used: set[int] = set()
-    positions = [(i, i) for i in range(order)] + [
-        (i, j) for i in range(order) for j in range(order) if i != j
-    ]
-
-    def place(pos: int) -> bool:
-        if pos == len(positions):
-            return True
-        i, j = positions[pos]
-        for v in range(order):
-            if v in row_used[i] or v in col_used[j]:
-                continue
-            if i == j and v in diag_used:
-                continue
-            cells[i][j] = v
-            row_used[i].add(v)
-            col_used[j].add(v)
-            if i == j:
-                diag_used.add(v)
-            if place(pos + 1):
-                return True
-            cells[i][j] = -1
-            row_used[i].remove(v)
-            col_used[j].remove(v)
-            if i == j:
-                diag_used.remove(v)
-        return False
-
-    if not place(0):
-        return None
+    if order % 2:
+        return tuple(tuple((i + j) % order for j in range(order)) for i in range(order))
+    m = order - 1
+    cells = [[(i + j) % m for j in range(m)] + [m] for i in range(m)] + [[m] * order]
+    for i in range(m):
+        j = (i + 1) % m
+        cells[i][m] = cells[m][j] = cells[i][j]
+        cells[i][j] = m
     return tuple(tuple(row) for row in cells)
 
 
 def generate_dls(order: int) -> DiagonalLatinSquare:
-    """Deterministic diagonal Latin square of the given order.
+    """Diagonal Latin square of the given order, by the closed form of
+    :func:`_dls_cells`.
 
     Exists for order 1 and every order >= 3; order 2 has no such square
     (both 2x2 Latin squares have a constant diagonal).
@@ -481,10 +472,7 @@ def generate_dls(order: int) -> DiagonalLatinSquare:
         raise ValidationError(f"order must be positive, got {order}")
     if order == 2:
         raise NoSuchDesign("no diagonal Latin square of order 2 exists")
-    cells = _dls_cells(order)
-    if cells is None:
-        raise NoSuchDesign(f"search found no diagonal Latin square of order {order}")
-    return DiagonalLatinSquare(order, cells)
+    return DiagonalLatinSquare(order, _dls_cells(order))
 
 
 def dls_matching(
@@ -543,6 +531,27 @@ def dls_matching(
         for i in range(s)
     )
     return DlsFragment(edges, diagonal)
+
+
+def _pair_fragment(spec: HypergraphSpec, row_offset: int, class_offset: int) -> DlsFragment:
+    """Two edges perfectly covering the r x 2 subgrid at the 0-based offsets,
+    for sigma = (a1, a2): the top a1 rows of the first column with the top
+    a2 rows of the second, and the two bottom blocks.  The second column's
+    top block (symbol 1) is the part an exchange frees."""
+    a1, r = spec.sigma.parts[0], spec.r
+    col1, col2 = class_offset + 1, class_offset + 2
+    cut1, cut2 = row_offset + a1, row_offset + r - a1
+    top2 = frozenset(range(row_offset + 1, cut2 + 1))
+    edges = (
+        Edge(((col1, frozenset(range(row_offset + 1, cut1 + 1))), (col2, top2))),
+        Edge(
+            (
+                (col1, frozenset(range(cut1 + 1, row_offset + r + 1))),
+                (col2, frozenset(range(cut2 + 1, row_offset + r + 1))),
+            )
+        ),
+    )
+    return DlsFragment(edges, (DiagonalPart(0, col2, top2, 1),))
 
 
 def packing_matching(
@@ -611,14 +620,15 @@ def r_good_maximum_matching(
 ) -> MatchingReport:
     """Dispatch the strongest applicable r-good construction.
 
-    Regimes, strongest first:
+    Regimes, strongest first; without ``force_regime`` the first whose
+    gate holds is built:
 
     * ``1a``  r | q: stacked shifted bands; perfect.
     * ``1b``  r | n and q = x*L + y*r: packed plus shifted bands; perfect.
-    * ``3``   q >= L(r^2-1) and n >= s+r (s >= 3; n >= r+2 when s = 2):
-              stacked strips built from exchangeable square blocks, packed
-              residue, then corner columns absorbed r vertices at a time;
-              at most (r-1)^2 unmatched.
+    * ``3``   q >= L(r^2-1) and n >= s+r: stacked strips built from
+              exchangeable square blocks (diagonal-Latin-square blocks, or
+              pair blocks when s = 2), packed residue, then corner columns
+              absorbed r vertices at a time; at most (r-1)^2 unmatched.
     * ``2``   q >= L(r-1) and n >= s: stacked strips plus packed residue
               over the widest r-divisible prefix; at most L(r-1)^2
               unmatched.
@@ -638,65 +648,32 @@ def r_good_maximum_matching(
     base_height = (L - 1) * (r - 1)
 
     def build_1a() -> MatchingReport:
-        m = diagonal_perfect_matching(spec)
-        return MatchingReport(
-            m, len(m.edges), 0, "rgood-1a", certificates=(("nu_upper", n * q // r),)
+        return MatchingReport.of(
+            spec, diagonal_perfect_matching(spec), "rgood-1a", (("nu_upper", n * q // r),)
         )
 
     def build_1b() -> MatchingReport:
-        edges = _perfect_width_bands(spec, split, q, 0, n)
-        m = Matching(tuple(edges), VertexSet())
-        return MatchingReport(
-            m, len(m.edges), 0, "rgood-1b", certificates=(("nu_upper", n * q // r),)
-        )
+        m = Matching(tuple(_perfect_width_bands(spec, split, q, 0, n)), VertexSet())
+        return MatchingReport.of(spec, m, "rgood-1b", (("nu_upper", n * q // r),))
 
     def build_residue(exchange: bool) -> MatchingReport:
         full = max(0, (q - base_height) // r)
         q1 = q - full * r
         t_cl, b = divmod(n, r)
+        f = (n - r) // s if exchange else 0
+        block = dls_matching if s >= 3 else _pair_fragment
         edges: list[Edge] = []
-        fragments: list[dict] = []  # consumable exchange blocks, in order
+        # consumable exchange blocks, in order: (id of first edge, block)
+        fragments: list[tuple[int, DlsFragment]] = []
         all_classes = list(range(1, n + 1))
 
         for strip in range(full):
             row0 = strip * r
-            if not exchange:
-                edges.extend(_band_edges(sigma.parts, all_classes, row0))
-                continue
-            if s >= 3:
-                f = (n - r) // s
-                for blk in range(f):
-                    frag = dls_matching(spec, row0, blk * s)
-                    ids = []
-                    for e in frag.edges:
-                        ids.append(len(edges))
-                        edges.append(e)
-                    fragments.append({"kind": "dls", "ids": ids, "diag": frag.diagonal})
-                rest = all_classes[f * s :]
-            else:
-                a1, a2 = sigma.parts
-                f = (n - r) // 2
-                for blk in range(f):
-                    col1, col2 = 2 * blk + 1, 2 * blk + 2
-                    e1 = Edge(
-                        (
-                            (col1, frozenset(range(row0 + 1, row0 + a1 + 1))),
-                            (col2, frozenset(range(row0 + 1, row0 + a2 + 1))),
-                        )
-                    )
-                    e2 = Edge(
-                        (
-                            (col1, frozenset(range(row0 + a1 + 1, row0 + r + 1))),
-                            (col2, frozenset(range(row0 + a2 + 1, row0 + r + 1))),
-                        )
-                    )
-                    fragments.append(
-                        {"kind": "pair", "e1": len(edges), "cols": (col1, col2), "row0": row0}
-                    )
-                    edges.append(e1)
-                    edges.append(e2)
-                rest = all_classes[2 * f :]
-            edges.extend(_band_edges(sigma.parts, rest, row0))
+            for blk in range(f):
+                frag = block(spec, row0, blk * s)
+                fragments.append((len(edges), frag))
+                edges.extend(frag.edges)
+            edges.extend(_band_edges(sigma.parts, all_classes[f * s :], row0))
 
         if t_cl >= 1 and q1 > 0:
             edges.extend(_perfect_width_bands(spec, split, q1, full * r, t_cl * r))
@@ -720,53 +697,36 @@ def r_good_maximum_matching(
             offsets = [0]
             for a_i in sigma.parts:
                 offsets.append(offsets[-1] + a_i)
-            nxt = 0
+            exchanges = iter(fragments)
             for c in corner_classes:
                 for grp in range(p):
+                    # cut c's r rows into one block per symbol; each freed
+                    # part's edge takes c's block of the same symbol, and the
+                    # freed parts with c's other blocks form one new edge
                     grp_row0 = corner_row0 + grp * r
-                    frag = fragments[nxt]
-                    nxt += 1
-                    if frag["kind"] == "dls":
-                        freed = []
-                        for dp in frag["diag"]:
-                            eidx = frag["ids"][dp.edge_pos]
-                            old = edges[eidx]
-                            incoming = (
-                                c,
-                                frozenset(
-                                    range(
-                                        grp_row0 + offsets[dp.symbol] + 1,
-                                        grp_row0 + offsets[dp.symbol + 1] + 1,
-                                    )
-                                ),
-                            )
-                            edges[eidx] = Edge(
-                                tuple(
-                                    pt for pt in old.parts if pt[0] != dp.class_index
-                                )
-                                + (incoming,)
-                            )
-                            freed.append((dp.class_index, dp.rows))
-                        edges.append(Edge(tuple(freed)))
-                    else:
-                        a1, a2 = sigma.parts
-                        col1, col2 = frag["cols"]
-                        row0 = frag["row0"]
-                        top_a1_col1 = (col1, frozenset(range(row0 + 1, row0 + a1 + 1)))
-                        top_a2_col2 = (col2, frozenset(range(row0 + 1, row0 + a2 + 1)))
-                        c_top = (c, frozenset(range(grp_row0 + 1, grp_row0 + a2 + 1)))
-                        c_bot = (c, frozenset(range(grp_row0 + a2 + 1, grp_row0 + r + 1)))
-                        edges[frag["e1"]] = Edge((top_a1_col1, c_top))
-                        edges.append(Edge((top_a2_col2, c_bot)))
+                    c_blocks = [
+                        (c, frozenset(range(grp_row0 + lo + 1, grp_row0 + hi + 1)))
+                        for lo, hi in zip(offsets, offsets[1:])
+                    ]
+                    first, frag = next(exchanges)
+                    for dp in frag.diagonal:
+                        eidx = first + dp.edge_pos
+                        edges[eidx] = Edge(
+                            tuple(pt for pt in edges[eidx].parts if pt[0] != dp.class_index)
+                            + (c_blocks[dp.symbol],)
+                        )
+                    freed = {dp.symbol for dp in frag.diagonal}
+                    edges.append(
+                        Edge(
+                            tuple((dp.class_index, dp.rows) for dp in frag.diagonal)
+                            + tuple(blk for k, blk in enumerate(c_blocks) if k not in freed)
+                        )
+                    )
             for c in corner_classes:
                 unmatched.update(
                     Vertex(c, row) for row in range(corner_row0 + p * r + 1, q + 1)
                 )
-            bookkeeping += [("p", p), ("z", z)]
-            if s >= 3:
-                bookkeeping += [("f", (n - r) // s), ("h", n - ((n - r) // s) * s)]
-            else:
-                bookkeeping += [("f", (n - r) // 2), ("h", n - ((n - r) // 2) * 2)]
+            bookkeeping += [("p", p), ("z", z), ("f", f), ("h", n - f * s)]
             strategy = "rgood-3" if s >= 3 else "rgood-3-two-part"
             bound = (r - 1) ** 2
             bookkeeping += [
@@ -782,14 +742,11 @@ def r_good_maximum_matching(
             bound = L * (r - 1) ** 2
 
         m = Matching(tuple(edges), VertexSet(frozenset(unmatched)))
-        report = MatchingReport(
+        report = MatchingReport.of(
+            spec,
             m,
-            len(edges),
-            len(unmatched),
             strategy,
-            certificates=tuple(
-                [("nu_upper", n * q // r), ("unmatched_bound", bound)] + bookkeeping
-            ),
+            tuple([("nu_upper", n * q // r), ("unmatched_bound", bound)] + bookkeeping),
         )
         if report.unmatched_count > bound:
             raise SigmaHypergraphError(
@@ -797,10 +754,7 @@ def r_good_maximum_matching(
             )
         return report
 
-    def gate_1a() -> bool:
-        return q % r == 0 and n >= s
-
-    def gate_1b() -> bool:
+    def gate_1b(strict: bool) -> bool:
         if n % r != 0:
             return False
         try:
@@ -809,55 +763,44 @@ def r_good_maximum_matching(
         except NoRepresentation:
             return False
 
-    def gate_3(strict: bool) -> bool:
-        wide = n >= s + r if s >= 3 else n >= r + 2
-        tall = q >= L * (r * r - 1) if strict else q >= base_height
-        return wide and tall
-
-    def gate_2(strict: bool) -> bool:
-        tall = q >= L * (r - 1) if strict else q >= base_height
-        return n >= s and tall
-
-    if force_regime is not None:
-        if force_regime == "1a":
-            if not gate_1a():
-                raise RegimeError(f"regime 1a needs r|q and n >= s for {spec}")
-            return build_1a()
-        if force_regime == "1b":
-            if not gate_1b():
-                raise RegimeError(f"regime 1b needs r|n and q = x*{L} + y*{r}")
-            return build_1b()
-        if force_regime == "3":
-            if not gate_3(strict=not permissive):
-                raise RegimeError(
-                    f"regime 3 needs q >= {L * (r * r - 1)} and "
-                    f"n >= {s + r if s >= 3 else r + 2}"
-                )
-            rep = build_residue(exchange=True)
-            return replace(rep, proven=gate_3(strict=True))
-        if force_regime == "2":
-            if not gate_2(strict=not permissive):
-                raise RegimeError(f"regime 2 needs q >= {L * (r - 1)} and n >= s")
-            rep = build_residue(exchange=False)
-            return replace(rep, proven=gate_2(strict=True))
+    # name -> (gate, build, what the gate needs); auto mode takes the first
+    # entry whose gate holds.  A gate called with strict=False admits the
+    # heights the construction mechanically covers.
+    regimes = {
+        "1a": (
+            lambda strict: q % r == 0 and n >= s,
+            build_1a,
+            f"regime 1a needs r|q and n >= s for {spec}",
+        ),
+        "1b": (gate_1b, build_1b, f"regime 1b needs r|n and q = x*{L} + y*{r}"),
+        "3": (
+            lambda strict: n >= s + r and q >= (L * (r * r - 1) if strict else base_height),
+            lambda: build_residue(exchange=True),
+            f"regime 3 needs q >= {L * (r * r - 1)} and n >= {s + r}",
+        ),
+        "2": (
+            lambda strict: n >= s and q >= (L * (r - 1) if strict else base_height),
+            lambda: build_residue(exchange=False),
+            f"regime 2 needs q >= {L * (r - 1)} and n >= s",
+        ),
+    }
+    if force_regime is None:
+        name = next((k for k, (gate, _, _) in regimes.items() if gate(not permissive)), None)
+        if name is None:
+            raise RegimeError(
+                f"no r-good regime applies to {spec} (L={L}): need r|q, or r|n with "
+                f"q = x*{L} + y*{r}, or q >= {L * (r - 1)} (strongest augmented regime "
+                f"additionally needs q >= {L * (r * r - 1)} and n >= {s + r}); "
+                f"got q={q}, n={n}"
+            )
+    elif force_regime not in regimes:
         raise ValidationError(f"unknown regime {force_regime!r}")
-
-    if gate_1a():
-        return build_1a()
-    if gate_1b():
-        return build_1b()
-    if gate_3(strict=not permissive):
-        rep = build_residue(exchange=True)
-        return replace(rep, proven=gate_3(strict=True))
-    if gate_2(strict=not permissive):
-        rep = build_residue(exchange=False)
-        return replace(rep, proven=gate_2(strict=True))
-    raise RegimeError(
-        f"no r-good regime applies to {spec} (L={L}): need r|q, or r|n with "
-        f"q = x*{L} + y*{r}, or q >= {L * (r - 1)} (strongest augmented regime "
-        f"additionally needs q >= {L * (r * r - 1)} and n >= "
-        f"{s + r if s >= 3 else r + 2}); got q={q}, n={n}"
-    )
+    else:
+        name = force_regime
+    gate, build, needs = regimes[name]
+    if not gate(not permissive):
+        raise RegimeError(needs)
+    return replace(build(), proven=gate(True))
 
 
 # ---------------------------------------------------------------------------
@@ -908,11 +851,7 @@ def best_matching(spec: HypergraphSpec) -> MatchingReport:
         except (RegimeError, NoSuchDesign, NoRepresentation):
             pass
 
-    def diag() -> MatchingReport:
-        m = diagonal_perfect_matching(spec)
-        return MatchingReport(m, len(m.edges), 0, "diagonal")
-
-    attempt(diag)
+    attempt(lambda: MatchingReport.of(spec, diagonal_perfect_matching(spec), "diagonal"))
     if spec.sigma.is_rectangular():
         attempt(lambda: rectangular_maximum_matching(spec))
     if spec.sigma.s >= 2:
@@ -922,22 +861,15 @@ def best_matching(spec: HypergraphSpec) -> MatchingReport:
         def contracted_route() -> MatchingReport:
             inner_spec, _ = contract(spec)
             inner = best_matching(inner_spec)
-            m = expand(spec, inner.matching)
-            return MatchingReport(
-                m,
-                len(m.edges),
-                spec.num_vertices - r * len(m.edges),
+            return MatchingReport.of(
+                spec,
+                expand(spec, inner.matching),
                 f"contract+{inner.strategy}",
                 proven=inner.proven,
             )
 
         attempt(contracted_route)
-    greedy = greedy_matching(spec)
-    candidates.append(
-        MatchingReport(
-            greedy, len(greedy.edges), spec.num_vertices - r * len(greedy.edges), "greedy"
-        )
-    )
+    candidates.append(MatchingReport.of(spec, greedy_matching(spec), "greedy"))
 
     best = candidates[0]
     for cand in candidates[1:]:

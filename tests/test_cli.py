@@ -176,6 +176,13 @@ class TestEdgesCommand:
         assert code == 0
         assert len(payload["edges"]) == payload["count"] == 4
 
+    def test_list_over_budget_exit_code(self, capsys):
+        code, out, err = invoke(
+            ["edges", "--n", "100", "--q", "100", "--sigma", "3,2", "--list"], capsys
+        )
+        assert code == 3 and "budget" in err
+        assert out == ""
+
 
 class TestOracleCommand:
     def test_alpha(self, capsys):

@@ -341,7 +341,7 @@ class TestRGoodSplit:
 
 class TestGenerateDls:
     def test_valid_orders(self):
-        for order in [1] + list(range(3, 13)):
+        for order in [1] + list(range(3, 65)):
             assert_dls_valid(generate_dls(order))
 
     def test_order_two_refused(self):
@@ -447,11 +447,12 @@ class TestRGoodRegimes:
         assert verify_matching(spec, rep.matching).ok
 
     def test_exchange_regime_bound(self):
-        spec = make_spec(13, 149, [2, 2, 1])
-        rep = r_good_maximum_matching(spec)
-        assert rep.strategy == "rgood-3"
-        assert rep.unmatched_count <= 16
-        assert verify_matching(spec, rep.matching).ok
+        for n, q, parts in [(13, 149, (2, 2, 1)), (27, 2541, (2,) + (1,) * 12)]:
+            spec = make_spec(n, q, parts)
+            rep = r_good_maximum_matching(spec)
+            assert rep.strategy == "rgood-3", spec
+            assert rep.unmatched_count <= (spec.r - 1) ** 2, spec
+            assert verify_matching(spec, rep.matching).ok, spec
 
     def test_two_part_exchange_regime(self):
         spec = make_spec(7, 146, [3, 2])
@@ -488,18 +489,24 @@ class TestRGoodRegimes:
         assert verify_matching(spec, rep.matching).ok
 
     def test_regime_bounds_across_grid(self):
-        split_l = find_r_good_split(core.Sigma((2, 2, 1))).L
-        for q in range(24, 41, 4):
-            for n in range(3, 11, 2):
-                spec = make_spec(n, q, [2, 2, 1])
-                rep = r_good_maximum_matching(spec)
-                assert verify_matching(spec, rep.matching).ok, spec
-                if rep.strategy == "rgood-2":
-                    assert rep.unmatched_count <= split_l * 16
-                elif rep.strategy.startswith("rgood-3"):
-                    assert rep.unmatched_count <= 16
-                else:
-                    assert rep.unmatched_count == 0
+        # both sigmas have r = 5; (3, 2) sweeps the two-part exchange
+        grids = [
+            ((2, 2, 1), range(3, 11, 2), range(24, 41, 4)),
+            ((3, 2), range(7, 12), range(144, 161)),
+        ]
+        for parts, ns, qs in grids:
+            split_l = find_r_good_split(core.Sigma(parts)).L
+            for q in qs:
+                for n in ns:
+                    spec = make_spec(n, q, parts)
+                    rep = r_good_maximum_matching(spec)
+                    assert verify_matching(spec, rep.matching).ok, spec
+                    if rep.strategy == "rgood-2":
+                        assert rep.unmatched_count <= split_l * 16
+                    elif rep.strategy.startswith("rgood-3"):
+                        assert rep.unmatched_count <= 16
+                    else:
+                        assert rep.unmatched_count == 0
 
 
 class TestGreedyAndBest:
