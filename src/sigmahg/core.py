@@ -15,6 +15,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -133,7 +134,7 @@ class Edge:
     def __post_init__(self) -> None:
         norm = []
         for class_index, rows in self.parts:
-            rows = frozenset(int(x) for x in rows)
+            rows = frozenset(map(int, rows))
             if not rows:
                 raise ValidationError("edge part with empty row set")
             if min(rows) < 1 or int(class_index) < 1:
@@ -141,7 +142,10 @@ class Edge:
             norm.append((int(class_index), rows))
         if not norm:
             raise ValidationError("edge needs at least one part")
-        norm.sort(key=lambda p: (p[0], sorted(p[1])))
+        norm.sort(key=itemgetter(0))
+        if len({c for c, _ in norm}) < len(norm):
+            # a repeated class: order its parts by their sorted rows
+            norm.sort(key=lambda p: (p[0], sorted(p[1])))
         object.__setattr__(self, "parts", tuple(norm))
 
     def vertices(self) -> Iterator[Vertex]:
@@ -345,14 +349,41 @@ class VerificationReport:
 
 def verify_matching(spec: HypergraphSpec, m: Matching) -> VerificationReport:
     """Check a matching against the spec; violations are report content,
-    never exceptions."""
+    never exceptions.
+
+    Grid cell (c, row) has id (c-1)*q + (row-1); ``owner`` holds, per id,
+    the first edge covering it (-1 if none), and edge cells off the grid
+    keep their first edge in a side table, so overlaps there are reported
+    too.
+    """
+    n, q, parts = spec.n, spec.q, spec.sigma.parts
     violations: list[Violation] = []
-    seen: dict[Vertex, int] = {}
+    owner = [-1] * (n * q)
+    outside: dict[tuple[int, int], int] = {}
     for idx, edge in enumerate(m.edges):
-        out = [v for v in edge.vertices() if not _in_range(spec, v)]
-        if out:
+        first_out = None
+        overlaps = []
+        for c, rows in edge.parts:
+            base = (c - 1) * q - 1
+            for row in sorted(rows):
+                if c <= n and row <= q:  # Edge keeps indices >= 1
+                    prev = owner[base + row]
+                    if prev < 0:
+                        owner[base + row] = idx
+                        continue
+                else:
+                    if first_out is None:
+                        first_out = (c, row)
+                    prev = outside.get((c, row))
+                    if prev is None:
+                        outside[c, row] = idx
+                        continue
+                overlaps.append(
+                    Violation("overlap", f"vertex {(c, row)} appears in edges {prev} and {idx}")
+                )
+        if first_out is not None:
             violations.append(
-                Violation("non-edge", f"edge {idx} has out-of-range vertex {tuple(out[0])}")
+                Violation("non-edge", f"edge {idx} has out-of-range vertex {first_out}")
             )
         else:
             classes = edge.classes()
@@ -360,43 +391,37 @@ def verify_matching(spec: HypergraphSpec, m: Matching) -> VerificationReport:
                 violations.append(
                     Violation("non-edge", f"edge {idx} repeats class {classes}")
                 )
-            elif edge.sizes() != spec.sigma.parts:
+            elif edge.sizes() != parts:
                 violations.append(
                     Violation(
                         "non-edge",
                         f"edge {idx} part sizes {edge.sizes()} do not realise {spec.sigma}",
                     )
                 )
-        for v in edge.vertices():
-            if v in seen:
-                violations.append(
-                    Violation(
-                        "overlap",
-                        f"vertex {tuple(v)} appears in edges {seen[v]} and {idx}",
-                    )
-                )
-            else:
-                seen[v] = idx
+        violations.extend(overlaps)
     for v in sorted(m.unmatched.members):
-        if not _in_range(spec, v):
+        c, row = v
+        i = (c - 1) * q + row - 1
+        if not (1 <= c <= n and 1 <= row <= q):
             violations.append(
                 Violation("unmatched", f"unmatched vertex {tuple(v)} is out of range")
             )
-        elif v in seen:
+        elif owner[i] >= 0:
             violations.append(
                 Violation(
                     "unmatched",
-                    f"vertex {tuple(v)} is both matched (edge {seen[v]}) and listed unmatched",
+                    f"vertex {tuple(v)} is both matched (edge {owner[i]}) and listed unmatched",
                 )
             )
-    missing = [
-        v for v in all_vertices(spec) if v not in seen and v not in m.unmatched.members
-    ]
+        else:
+            owner[i] = -2  # accounted for as unmatched
+    missing = owner.count(-1)
     if missing:
+        c, row = divmod(owner.index(-1), q)
         violations.append(
             Violation(
                 "unmatched",
-                f"{len(missing)} vertices unaccounted for, first {tuple(missing[0])}",
+                f"{missing} vertices unaccounted for, first {(c + 1, row + 1)}",
             )
         )
     return VerificationReport(tuple(violations))

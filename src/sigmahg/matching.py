@@ -9,6 +9,7 @@ re-check the output with :func:`sigmahg.core.verify_matching`.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -808,80 +809,96 @@ def r_good_maximum_matching(
 # ---------------------------------------------------------------------------
 
 
-def greedy_matching(spec: HypergraphSpec) -> Matching:
-    """Repeatedly place one edge: largest parts go to the classes with the
-    most free rows (ties toward lower class indices), consuming the lowest
-    free rows.  Stops when no assignment fits; sorted-to-sorted assignment
-    fits whenever any assignment does."""
+def _greedy_choices(spec: HypergraphSpec) -> list[tuple[int, ...]]:
+    """The classes greedy gives each edge's parts, decided on free-row
+    counts alone: the largest parts go to the classes with the most free
+    rows (ties toward lower class indices).  Stops when no assignment fits;
+    sorted-to-sorted assignment fits whenever any assignment does."""
     parts = spec.sigma.parts
     s = spec.sigma.s
-    free: dict[int, list[int]] = {c: list(range(1, spec.q + 1)) for c in range(1, spec.n + 1)}
+    choices: list[tuple[int, ...]] = []
+    if not spec.has_edges:
+        return choices
+    heap = [(-spec.q, c) for c in range(1, spec.n + 1)]  # (-free rows, class)
+    while True:
+        top = [heapq.heappop(heap) for _ in range(s)]
+        if any(-free < a for (free, _), a in zip(top, parts)):
+            return choices
+        choices.append(tuple(c for _, c in top))
+        for (free, c), a in zip(top, parts):
+            heapq.heappush(heap, (free + a, c))
+
+
+def greedy_matching(spec: HypergraphSpec) -> Matching:
+    """Place the edges of :func:`_greedy_choices` in turn, each part taking
+    the lowest free rows of its class."""
+    return _place_greedy(spec, _greedy_choices(spec))
+
+
+def _place_greedy(spec: HypergraphSpec, choices: list[tuple[int, ...]]) -> Matching:
+    parts = spec.sigma.parts
+    next_row = [1] * (spec.n + 1)  # per class, the lowest free row
     edges: list[Edge] = []
-    if spec.has_edges:
-        while True:
-            order = sorted(free, key=lambda c: (-len(free[c]), c))[:s]
-            if any(len(free[order[i]]) < parts[i] for i in range(s)):
-                break
-            eparts = []
-            for i, c in enumerate(order):
-                rows = free[c][: parts[i]]
-                del free[c][: parts[i]]
-                eparts.append((c, frozenset(rows)))
-            edges.append(Edge(tuple(eparts)))
+    for classes in choices:
+        eparts = []
+        for c, a in zip(classes, parts):
+            eparts.append((c, frozenset(range(next_row[c], next_row[c] + a))))
+            next_row[c] += a
+        edges.append(Edge(tuple(eparts)))
     unmatched = frozenset(
-        Vertex(c, row) for c, rows in free.items() for row in rows
+        Vertex(c, row) for c in range(1, spec.n + 1) for row in range(next_row[c], spec.q + 1)
     )
     return Matching(tuple(edges), VertexSet(unmatched))
 
 
 def best_matching(spec: HypergraphSpec) -> MatchingReport:
-    """Try every applicable strategy and return the report with the largest
-    matching (ties go to the earlier strategy).
+    """Return the report with the largest matching among the applicable
+    strategies (ties go to the earlier strategy).
 
     Order tried: full-height bands (r | q), the rectangular pipeline, the
     r-good dispatcher, contract-recurse-expand when gcd(sigma) >= 2, and
-    finally the greedy fallback, which always succeeds.
+    finally the greedy fallback, which always succeeds.  No matching can
+    exceed floor(n(q - q mod d)/r) edges, d = gcd(sigma), so the first
+    candidate reaching that ceiling wins and no later strategy is built.
+    Greedy is decided on class loads first and its matching built only when
+    it beats every earlier candidate.
     """
-    n, q, r = spec.n, spec.q, spec.r
-    candidates: list[MatchingReport] = []
+    n, q, r, d = spec.n, spec.q, spec.r, spec.sigma.d
+    ceiling = n * (q - q % d) // r
+    best: MatchingReport | None = None
 
-    def attempt(thunk) -> None:
-        try:
-            candidates.append(thunk())
-        except (RegimeError, NoSuchDesign, NoRepresentation):
-            pass
+    def contracted_route() -> MatchingReport:
+        inner_spec, _ = contract(spec)
+        inner = best_matching(inner_spec)
+        return MatchingReport.of(
+            spec, expand(spec, inner.matching), f"contract+{inner.strategy}", proven=inner.proven
+        )
 
-    attempt(lambda: MatchingReport.of(spec, diagonal_perfect_matching(spec), "diagonal"))
+    strategies = [lambda: MatchingReport.of(spec, diagonal_perfect_matching(spec), "diagonal")]
     if spec.sigma.is_rectangular():
-        attempt(lambda: rectangular_maximum_matching(spec))
+        strategies.append(lambda: rectangular_maximum_matching(spec))
     if spec.sigma.s >= 2:
-        attempt(lambda: r_good_maximum_matching(spec))
-    if spec.sigma.d >= 2:
-
-        def contracted_route() -> MatchingReport:
-            inner_spec, _ = contract(spec)
-            inner = best_matching(inner_spec)
-            return MatchingReport.of(
-                spec,
-                expand(spec, inner.matching),
-                f"contract+{inner.strategy}",
-                proven=inner.proven,
-            )
-
-        attempt(contracted_route)
-    candidates.append(MatchingReport.of(spec, greedy_matching(spec), "greedy"))
-
-    best = candidates[0]
-    for cand in candidates[1:]:
-        if cand.nu > best.nu:
+        strategies.append(lambda: r_good_maximum_matching(spec))
+    if d >= 2:
+        strategies.append(contracted_route)
+    for build in strategies:
+        try:
+            cand = build()
+        except (RegimeError, NoSuchDesign, NoRepresentation):
+            continue
+        if best is None or cand.nu > best.nu:
             best = cand
+        if best.nu >= ceiling:
+            break
+    else:  # no candidate reached the ceiling
+        choices = _greedy_choices(spec)
+        if best is None or len(choices) > best.nu:
+            best = MatchingReport.of(spec, _place_greedy(spec, choices), "greedy")
 
     certs = [("nu_upper", (n * q) // r)]
-    d = spec.sigma.d
     if d >= 2:
-        t = q % d
-        certs.append(("gcd_unmatched_lower", t * n))
-        certs.append(("gcd_nu_upper", n * (q - t) // r))
+        certs.append(("gcd_unmatched_lower", q % d * n))
+        certs.append(("gcd_nu_upper", ceiling))
     seen = {name for name, _ in certs}
     certs.extend((k, v) for k, v in best.certificates if k not in seen)
     return replace(best, certificates=tuple(certs))

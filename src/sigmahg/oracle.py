@@ -11,8 +11,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import (
     HypergraphSpec,
@@ -23,6 +22,9 @@ from .core import (
     count_edges,
     enumerate_edges,
 )
+
+if TYPE_CHECKING:
+    import numpy as np  # imported where the colouring oracle runs
 
 
 class BudgetExceeded(SigmaHypergraphError):
@@ -208,9 +210,19 @@ def _bb_max_matching_edges(spec: HypergraphSpec, max_edges: int = 2000) -> int:
     return best
 
 
+def _bell(m: int) -> int:
+    """Number of set partitions of an m-set, by the Bell triangle."""
+    row = [1]
+    for _ in range(m - 1):
+        row = list(itertools.accumulate(row, initial=row[-1]))
+    return row[-1]
+
+
 @lru_cache(maxsize=8)
 def _set_partitions(m: int) -> np.ndarray:
     """All set partitions of {0..m-1} as restricted-growth strings."""
+    import numpy as np
+
     rows: list[list[int]] = []
 
     def rec(i: int, top: int, rgs: list[int]) -> None:
@@ -232,6 +244,8 @@ def _colouring_summary(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per set partition of the vertices: (#blocks, min and max number of
     distinct colours seen on any edge)."""
+    import numpy as np
+
     spec = HypergraphSpec(n, q, Sigma(parts))
     deadline = _Deadline(time_limit)
     rgs = _set_partitions(n * q)
@@ -260,7 +274,9 @@ def bf_colouring_spectrum(
     into t blocks, so the scan runs over all set partitions of the vertex
     set and checks that every edge shows between alpha_param and
     beta_param distinct colours.  Returns (None, None) when no colouring
-    exists.  Intended for at most ~9 vertices.
+    exists.  Intended for at most ~9 vertices; the number of set
+    partitions, Bell(nq), is checked against ``budget.max_edges`` before
+    any is built.
     """
     r = spec.r
     if not 1 <= alpha_param <= beta_param <= r:
@@ -270,6 +286,12 @@ def bf_colouring_spectrum(
     _check_vertices(spec, budget, "bf_colouring_spectrum")
     if not spec.has_edges:
         return 1, spec.num_vertices
+    partitions = _bell(spec.num_vertices)
+    if partitions > budget.max_edges:
+        raise BudgetExceeded(
+            f"bf_colouring_spectrum: {partitions} set partitions of {spec.num_vertices} "
+            f"vertices exceeds budget {budget.max_edges}"
+        )
     blocks, lo, hi = _colouring_summary(
         spec.n, spec.q, spec.sigma.parts, budget.time_limit
     )

@@ -278,6 +278,16 @@ class TestPlumbing:
         code, _, _ = invoke(["alpha", "--n", "3", "--q", "3", "--k", "1"], capsys)
         assert code == 1
 
+    def test_import_leaves_numpy_unloaded(self):
+        # numpy is loaded by the colouring oracle only, when it runs
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, sigmahg.cli; print('numpy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_console_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "sigmahg", "alpha", *SPEC, "--k", "7", "--format", "json"],

@@ -194,6 +194,45 @@ class TestVerifyMatching:
         report = verify_matching(spec, tampered)
         assert not report.ok
 
+    def test_exact_violation_list(self):
+        # kinds, messages and order are output (the CLI prints them)
+        spec = make_spec(4, 3, [2, 1])
+        edges = (
+            make_edge([(1, {1, 2}), (2, {1})]),
+            make_edge([(1, {2, 3}), (3, {1})]),  # overlaps edge 0
+            make_edge([(5, {1}), (2, {2, 4})]),  # off the grid
+            make_edge([(5, {1}), (4, {5, 1})]),  # off the grid, overlapping edge 2 there
+            make_edge([(3, {2, 3}), (3, {1})]),  # repeated class
+            make_edge([(4, {2}), (2, {3})]),  # wrong part sizes
+            make_edge([(4, {3}), (1, {3}), (2, {3})]),  # wrong part sizes, two overlaps
+        )
+        unmatched = VertexSet.of([(1, 1), (4, 4), (0, 2), (4, 2), (4, 1)])
+        report = verify_matching(spec, Matching(edges, unmatched))
+        assert [(v.kind, v.message) for v in report.violations] == [
+            ("overlap", "vertex (1, 2) appears in edges 0 and 1"),
+            ("non-edge", "edge 2 has out-of-range vertex (2, 4)"),
+            ("non-edge", "edge 3 has out-of-range vertex (4, 5)"),
+            ("overlap", "vertex (5, 1) appears in edges 2 and 3"),
+            ("non-edge", "edge 4 repeats class (3, 3)"),
+            ("overlap", "vertex (3, 1) appears in edges 1 and 4"),
+            ("non-edge", "edge 5 part sizes (1, 1) do not realise (2,1)"),
+            ("non-edge", "edge 6 part sizes (1, 1, 1) do not realise (2,1)"),
+            ("overlap", "vertex (1, 3) appears in edges 1 and 6"),
+            ("overlap", "vertex (2, 3) appears in edges 5 and 6"),
+            ("unmatched", "unmatched vertex (0, 2) is out of range"),
+            ("unmatched", "vertex (1, 1) is both matched (edge 0) and listed unmatched"),
+            ("unmatched", "vertex (4, 1) is both matched (edge 3) and listed unmatched"),
+            ("unmatched", "vertex (4, 2) is both matched (edge 5) and listed unmatched"),
+            ("unmatched", "unmatched vertex (4, 4) is out of range"),
+        ]
+        self_overlap = make_edge([(2, {2, 3}), (2, {2})])
+        report = verify_matching(spec, Matching((edges[0], self_overlap), VertexSet.of([(4, 3)])))
+        assert [(v.kind, v.message) for v in report.violations] == [
+            ("non-edge", "edge 1 repeats class (2, 2)"),
+            ("overlap", "vertex (2, 2) appears in edges 1 and 1"),
+            ("unmatched", "6 vertices unaccounted for, first (1, 3)"),
+        ]
+
     def test_agrees_with_independent_recheck(self):
         rng = random.Random(11)
         from sigmahg.matching import greedy_matching

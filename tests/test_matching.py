@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -30,6 +31,7 @@ from sigmahg.matching import (
     packing_matching,
     r_good_maximum_matching,
     rectangular_maximum_matching,
+    report_to_json,
 )
 from sigmahg.oracle import OracleBudget, bf_max_matching
 
@@ -53,6 +55,76 @@ def permute_rows(spec, m, perms):
         for e in m.edges
     )
     return Matching(edges, VertexSet(frozenset(move(v) for v in m.unmatched.members)))
+
+
+def reference_greedy(spec):
+    """Greedy as one sort per edge: the largest parts go to the classes with
+    the most free rows (ties toward lower class indices), each taking the
+    lowest free rows of its class."""
+    parts, s = spec.sigma.parts, spec.sigma.s
+    free = {c: list(range(1, spec.q + 1)) for c in range(1, spec.n + 1)}
+    edges = []
+    if spec.has_edges:
+        while True:
+            order = sorted(free, key=lambda c: (-len(free[c]), c))[:s]
+            if any(len(free[order[i]]) < parts[i] for i in range(s)):
+                break
+            eparts = []
+            for i, c in enumerate(order):
+                eparts.append((c, frozenset(free[c][: parts[i]])))
+                del free[c][: parts[i]]
+            edges.append(Edge(tuple(eparts)))
+    unmatched = frozenset(core.Vertex(c, row) for c, rows in free.items() for row in rows)
+    return Matching(tuple(edges), VertexSet(unmatched))
+
+
+def exhaustive_best(spec):
+    """best_matching without shortcuts: build every applicable candidate in
+    the dispatcher's order and keep the first largest."""
+    n, q, r, d = spec.n, spec.q, spec.r, spec.sigma.d
+    builds = [lambda: MatchingReport.of(spec, diagonal_perfect_matching(spec), "diagonal")]
+    if spec.sigma.is_rectangular():
+        builds.append(lambda: rectangular_maximum_matching(spec))
+    if spec.sigma.s >= 2:
+        builds.append(lambda: r_good_maximum_matching(spec))
+    if d >= 2:
+
+        def contracted():
+            inner = exhaustive_best(contract(spec)[0])
+            m = expand(spec, inner.matching)
+            return MatchingReport.of(spec, m, f"contract+{inner.strategy}", proven=inner.proven)
+
+        builds.append(contracted)
+    builds.append(lambda: MatchingReport.of(spec, reference_greedy(spec), "greedy"))
+    candidates = []
+    for build in builds:
+        try:
+            candidates.append(build())
+        except (RegimeError, NoSuchDesign, core.NoRepresentation):
+            pass
+    best = candidates[0]
+    for cand in candidates[1:]:
+        if cand.nu > best.nu:
+            best = cand
+    certs = [("nu_upper", n * q // r)]
+    if d >= 2:
+        certs += [("gcd_unmatched_lower", q % d * n), ("gcd_nu_upper", n * (q - q % d) // r)]
+    certs += [(k, v) for k, v in best.certificates if k not in {name for name, _ in certs}]
+    return replace(best, certificates=tuple(certs))
+
+
+def equivalence_specs():
+    """Small specs of every partition of r <= 5, plus one spec per route."""
+    for r in range(1, 6):
+        for parts in partitions(r):
+            for n in range(1, 8):
+                for q in range(1, 13):
+                    yield make_spec(n, q, parts)
+    for n, q, parts in [
+        (7, 146, (3, 2)), (13, 149, (2, 2, 1)), (26, 9, (2, 2)), (26, 6, (1, 1, 1, 1)),
+        (12, 13, (4, 2)), (16, 20, (5, 4, 3, 2)), (9, 36, (3, 2, 1)), (64, 118, (4, 3, 2)),
+    ]:
+        yield make_spec(n, q, parts)
 
 
 def assert_dls_valid(square):
@@ -516,6 +588,17 @@ class TestGreedyAndBest:
             b = greedy_matching(spec)
             assert a == b
             assert verify_matching(spec, a).ok
+
+    def test_greedy_matches_sort_based_reference(self):
+        for spec in equivalence_specs():
+            assert greedy_matching(spec) == reference_greedy(spec), spec
+
+    def test_best_equals_exhaustive_choice(self):
+        for spec in equivalence_specs():
+            got, want = best_matching(spec), exhaustive_best(spec)
+            assert got == want, spec
+            assert report_to_json(got) == report_to_json(want), spec
+            assert core.matching_to_json(got.matching) == core.matching_to_json(want.matching)
 
     def test_divisible_height_is_perfect(self):
         rep = best_matching(make_spec(3, 3, [2, 1]))

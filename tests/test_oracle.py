@@ -133,6 +133,16 @@ class TestBfColouringSpectrum:
             bf_colouring_spectrum(make_spec(3, 2, [2, 1]), 2, 2, tight)
 
 
+    def test_partition_count_checked_before_allocation(self):
+        # Bell(16) = 10,480,142,147 partitions; refused at once under the
+        # default budget, which admits the vertex count
+        with pytest.raises(BudgetExceeded):
+            bf_colouring_spectrum(make_spec(4, 4, [2, 1]), 1, 2)
+        with pytest.raises(BudgetExceeded):
+            bf_colouring_spectrum(make_spec(11, 1, [1, 1]), 1, 2)
+        assert bf_colouring_spectrum(make_spec(5, 2, [1, 1]), 1, 2) is not None
+
+
 class TestBfMaxIntersection:
     def test_empty_set(self):
         assert bf_max_intersection(make_spec(3, 2, [2, 1]), VertexSet(), BUDGET) == 0
