@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from . import core, independence, matching, oracle
-from .core import NoEdges, NoRepresentation, SigmaHypergraphError, ValidationError
+from .core import NoRepresentation, SigmaHypergraphError, ValidationError
 from .matching import NoSuchDesign, RegimeError
 from .oracle import BudgetExceeded, OracleBudget
 
@@ -74,6 +75,8 @@ def _budget() -> OracleBudget:
             raise _UsageError(f"{BUDGET_ENV} must be a number, got {raw!r}")
         if factor <= 0:
             raise _UsageError(f"{BUDGET_ENV} must be positive")
+        if not math.isfinite(factor):
+            raise _UsageError(f"{BUDGET_ENV} must be finite, got {raw!r}")
     return OracleBudget(
         max_vertices=max(1, int(32 * factor)),
         max_edges=max(1, int(200_000 * factor)),
@@ -233,7 +236,12 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     else:  # intersection
         if args.profile is None:
             raise _UsageError("oracle intersection needs --profile, e.g. 3,1,0")
-        counts = [int(x) for x in args.profile.split(",") if x.strip() != ""]
+        try:
+            counts = [int(x) for x in args.profile.split(",") if x.strip() != ""]
+        except ValueError:
+            raise _UsageError(
+                f"--profile must be comma-separated integers, got {args.profile!r}"
+            )
         b_set = core.VertexSet.from_profile(spec, counts)
         payload["profile"] = counts
         payload["max_intersection"] = oracle.bf_max_intersection(spec, b_set, budget)
@@ -328,19 +336,15 @@ def run(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INVALID
-    except (ValidationError, NoEdges, json.JSONDecodeError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INVALID
     except (RegimeError, NoSuchDesign, NoRepresentation) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_REGIME
     except BudgetExceeded as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BUDGET
-    except SigmaHypergraphError as exc:
+    except (
+        _UsageError, SigmaHypergraphError, json.JSONDecodeError, UnicodeDecodeError, OSError
+    ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
 

@@ -443,7 +443,9 @@ def spec_to_json(spec: HypergraphSpec) -> dict:
 def spec_from_json(obj: dict) -> HypergraphSpec:
     try:
         return make_spec(obj["n"], obj["q"], obj["sigma"])
-    except (KeyError, TypeError) as exc:
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed spec object: {obj!r}") from exc
 
 
@@ -454,7 +456,9 @@ def edge_to_json(edge: Edge) -> list:
 def edge_from_json(obj: list) -> Edge:
     try:
         return make_edge((part["class"], part["rows"]) for part in obj)
-    except (KeyError, TypeError) as exc:
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed edge object: {obj!r}") from exc
 
 
@@ -471,6 +475,8 @@ def matching_from_json(obj: dict) -> Matching:
     try:
         edges = tuple(edge_from_json(e) for e in obj["edges"])
         unmatched = VertexSet.of((v["class"], v["row"]) for v in obj["unmatched"])
-    except (KeyError, TypeError) as exc:
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed matching object: {obj!r}") from exc
     return Matching(edges, unmatched)

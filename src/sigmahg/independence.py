@@ -48,31 +48,29 @@ class FeasibleSequence:
         return q * (self.t - 1) + sum(self.b[self.t - 1 :]) + (n - s) * self.b[-1]
 
 
-def _first_drop(b: tuple[int, ...], parts: tuple[int, ...]) -> int:
-    for i, (bi, ai) in enumerate(zip(b, parts)):
-        if bi < ai:
-            return i + 1
-    raise ValidationError(f"profile {b} never drops below {parts}")
-
-
 def _check_k(k: int, r: int) -> None:
     if not 1 <= k <= r - 1:
         raise ValidationError(f"k must satisfy 1 <= k <= r-1 = {r - 1}, got {k}")
 
 
 @lru_cache(maxsize=4096)
-def _maximal_profiles(q: int, k: int, parts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+def _maximal_profiles(q: int, k: int, parts: tuple[int, ...]) -> tuple[FeasibleSequence, ...]:
     s = len(parts)
-    candidates: set[tuple[int, ...]] = set()
+    found: list[FeasibleSequence] = []
 
     def extend(i: int, upper: int, remaining: int, suffix: list[int]) -> None:
         # remaining = what the entries from position i onward must still
         # contribute to the capped overlap.
         if i == s:
             if remaining == 0:
-                candidates.add(tuple(suffix))
+                found.append(FeasibleSequence(tuple(suffix), k, t))
             return
         for value in range(upper, -1, -1):
+            # After the drop, an entry at or above its part and below its
+            # predecessor can be raised without changing the overlap; the
+            # first entry any dominating profile raises is such an entry.
+            if i >= t and parts[i] <= value < upper:
+                continue
             contrib = min(parts[i], value)
             if contrib > remaining:
                 continue
@@ -88,17 +86,7 @@ def _maximal_profiles(q: int, k: int, parts: tuple[int, ...]) -> tuple[tuple[int
         # prefix is pinned to q (anything less is dominated by raising it).
         extend(t - 1, min(parts[t - 1] - 1, q), k - prefix_overlap, [q] * (t - 1))
 
-    # Dominance over the truncated form is equivalent to dominance over any
-    # full length-n form: the implied tail replicates the last entry, so a
-    # componentwise-larger distinct profile always has a strictly larger sum.
-    maximal = [
-        b
-        for b in candidates
-        if not any(
-            other != b and all(o >= x for o, x in zip(other, b)) for other in candidates
-        )
-    ]
-    return tuple(sorted(maximal, reverse=True))
+    return tuple(sorted(found, key=lambda seq: seq.b, reverse=True))
 
 
 def enumerate_maximal_feasible(q: int, k: int, sigma: Sigma) -> list[FeasibleSequence]:
@@ -110,10 +98,7 @@ def enumerate_maximal_feasible(q: int, k: int, sigma: Sigma) -> list[FeasibleSeq
     _check_k(k, sigma.r)
     if q < sigma.parts[0]:
         raise ValidationError(f"need q >= largest part {sigma.parts[0]}, got q={q}")
-    return [
-        FeasibleSequence(b, k, _first_drop(b, sigma.parts))
-        for b in _maximal_profiles(q, k, sigma.parts)
-    ]
+    return list(_maximal_profiles(q, k, sigma.parts))
 
 
 def best_feasible_sequence(spec: HypergraphSpec, k: int) -> tuple[int, FeasibleSequence]:
@@ -131,11 +116,7 @@ def best_feasible_sequence(spec: HypergraphSpec, k: int) -> tuple[int, FeasibleS
 
 def alpha_k(spec: HypergraphSpec, k: int) -> int:
     """Largest size of a set meeting every edge in at most k vertices."""
-    _check_k(k, spec.r)
-    if not spec.has_edges:
-        return spec.num_vertices
-    value, _ = best_feasible_sequence(spec, k)
-    return value
+    return alpha_k_witness(spec, k)[0]
 
 
 def alpha_k_witness(spec: HypergraphSpec, k: int) -> tuple[int, tuple[int, ...]]:
@@ -144,9 +125,7 @@ def alpha_k_witness(spec: HypergraphSpec, k: int) -> tuple[int, tuple[int, ...]]
     if not spec.has_edges:
         return spec.num_vertices, (spec.q,) * spec.n
     value, seq = best_feasible_sequence(spec, k)
-    s = spec.sigma.s
-    profile = (spec.q,) * (seq.t - 1) + seq.b[seq.t - 1 :] + (seq.b[-1],) * (spec.n - s)
-    return value, profile
+    return value, seq.full(spec.n)
 
 
 def witness_vertex_set(spec: HypergraphSpec, profile: tuple[int, ...]) -> VertexSet:

@@ -897,7 +897,7 @@ def best_matching(spec: HypergraphSpec) -> MatchingReport:
 
     certs = [("nu_upper", (n * q) // r)]
     if d >= 2:
-        certs.append(("gcd_unmatched_lower", q % d * n))
+        certs.append(("gcd_unmatched_lower", gcd_unmatched_lower_bound(spec)))
         certs.append(("gcd_nu_upper", ceiling))
     seen = {name for name, _ in certs}
     certs.extend((k, v) for k, v in best.certificates if k not in seen)

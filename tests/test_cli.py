@@ -138,12 +138,47 @@ class TestVerifyCommand:
         assert verdict["ok"] is False
         assert verdict["violations"]
 
-    def test_missing_file_is_invalid(self, capsys):
-        code, _, _ = invoke(
-            ["verify", "--n", "3", "--q", "3", "--sigma", "2,1", "--matching", "/nope"],
-            capsys,
-        )
-        assert code == 1
+    def test_missing_file_is_invalid(self, capsys, tmp_path):
+        # missing, undecodable or malformed input files: one error line each
+        good_spec = tmp_path / "spec.json"
+        good_spec.write_text('{"n": 3, "q": 3, "sigma": [2, 1]}')
+        empty = tmp_path / "empty.json"
+        empty.write_text('{"edges": [], "unmatched": []}')
+        bad_specs = [
+            '{"n": "abc", "q": 3, "sigma": [2, 1]}',
+            '{"n": 3, "q": Infinity, "sigma": [2, 1]}',
+            '{"n": NaN, "q": 3, "sigma": [2, 1]}',
+            '{"n": 3, "q": 3, "sigma": [2, -Infinity]}',
+        ]
+        bad_matchings = [
+            '{"edges": [[{"class": 1, "rows": ["x"]}]], "unmatched": []}',
+            '{"edges": [[{"class": 1, "rows": [Infinity]}]], "unmatched": []}',
+            '{"edges": [[{"class": NaN, "rows": [1]}]], "unmatched": []}',
+            '{"edges": [], "unmatched": [{"class": "x", "row": 1}]}',
+            '{"edges": [], "unmatched": [{"class": 1, "row": -Infinity}]}',
+        ]
+        cases = [["--n", "3", "--q", "3", "--sigma", "2,1", "--matching", "/nope"]]
+        for i, text in enumerate(bad_specs):
+            blob = tmp_path / f"spec{i}.json"
+            blob.write_text(text)
+            cases.append(["--spec", str(blob), "--matching", str(empty)])
+        for i, text in enumerate(bad_matchings):
+            blob = tmp_path / f"matching{i}.json"
+            blob.write_text(text)
+            cases.append(["--spec", str(good_spec), "--matching", str(blob)])
+        not_utf8 = tmp_path / "binary.json"
+        not_utf8.write_bytes(b"\xff\xfe\x00")
+        cases.append(["--spec", str(not_utf8), "--matching", str(empty)])
+        cases.append(["--spec", str(good_spec), "--matching", str(not_utf8)])
+        for argv in cases:
+            code, out, err = invoke(["verify", *argv], capsys)
+            assert code == 1 and out == "", argv
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        # an error the library already reports keeps its own message
+        blob = tmp_path / "empty_rows.json"
+        blob.write_text('{"edges": [[{"class": 1, "rows": []}]], "unmatched": []}')
+        code, _, err = invoke(["verify", "--spec", str(good_spec), "--matching", str(blob)], capsys)
+        assert code == 1 and err == "error: edge part with empty row set\n"
 
     def test_piped_emit_verifies_from_stdin(self):
         spec_args = ["--n", "3", "--q", "9", "--sigma", "4,3,2"]
@@ -220,6 +255,17 @@ class TestOracleCommand:
             capsys,
         )
         assert code == 0 and payload["max_intersection"] == 2
+
+    def test_malformed_profile_and_budget_are_invalid(self, capsys, monkeypatch):
+        spec_args = ["--n", "3", "--q", "2", "--sigma", "2,1"]
+        code, out, err = invoke(["oracle", "intersection", *spec_args, "--profile", "a,b"], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: --profile must be comma-separated integers, got 'a,b'\n"
+        for raw in ("inf", "nan", "1e400"):
+            monkeypatch.setenv("SIGMA_HYPER_BUDGET", raw)
+            code, out, err = invoke(["oracle", "match", *spec_args], capsys)
+            assert code == 1 and out == "", raw
+            assert err == f"error: SIGMA_HYPER_BUDGET must be finite, got {raw!r}\n"
 
     def test_budget_exit_code(self, capsys, monkeypatch):
         monkeypatch.setenv("SIGMA_HYPER_BUDGET", "0.1")

@@ -132,7 +132,12 @@ class TestMaximalFeasible:
     def test_sequences_are_exactly_the_undominated_ones(self):
         # Independent reconstruction: enumerate every feasible profile, keep
         # the undominated ones, compare.
-        for parts in [(4, 3, 2), (2, 1), (2, 2), (3, 1, 1), (1, 1, 1)]:
+        # Repeated parts and tails that stay at or above sigma after the
+        # first drop exercise every branch of the dominance rule.
+        for parts in [
+            (4, 3, 2), (2, 1), (2, 2), (3, 1, 1), (1, 1, 1),
+            (3, 2, 2, 1, 1), (5, 1, 1, 1), (2, 2, 1, 1, 1), (6, 3, 1),
+        ]:
             sigma = Sigma(parts)
             for q in range(parts[0], parts[0] + 3):
                 for k in range(1, sigma.r):
@@ -145,8 +150,12 @@ class TestMaximalFeasible:
                             for o in feasible
                         )
                     }
-                    got = {seq.b for seq in enumerate_maximal_feasible(q, k, sigma)}
-                    assert got == undominated, (parts, q, k)
+                    seqs = enumerate_maximal_feasible(q, k, sigma)
+                    got = [seq.b for seq in seqs]
+                    assert got == sorted(undominated, reverse=True), (parts, q, k)
+                    for seq in seqs:
+                        first_drop = next(i for i, (x, a) in enumerate(zip(seq.b, parts)) if x < a)
+                        assert seq.t == first_drop + 1, (parts, q, k, seq)
 
     def test_invariants_and_non_emptiness(self):
         for parts in [(4, 3, 2), (2, 2), (5,), (2, 1, 1)]:
@@ -190,6 +199,16 @@ class TestAlphaK:
                 witness = witness_vertex_set(spec, profile)
                 assert len(witness) == value
                 assert is_k_independent(spec, witness, k), (spec, k, profile)
+
+    def test_large_r_all_k(self):
+        spec = make_spec(15, 11, [8, 5, 3, 3] + [1] * 9)
+        values = []
+        for k in range(1, spec.r):
+            value, profile = alpha_k_witness(spec, k)
+            assert is_k_independent(spec, witness_vertex_set(spec, profile), k), (k, profile)
+            values.append(value)
+        assert values == sorted(values)
+        assert values[-1] == alpha_value(spec)
 
     def test_monotone_in_k_q_n(self):
         for parts in [(2, 1), (2, 2), (3, 1)]:

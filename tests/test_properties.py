@@ -1,12 +1,19 @@
 """Property tests over random small specs: every strategy's matching
 verifies and meets its certificates, output is deterministic, and nu never
-exceeds the exact optimum."""
+exceeds the exact optimum.  A fuzz of the CLI's JSON inputs checks that
+malformed files end in an exit code, never a traceback."""
 
+import contextlib
+import io
 import json
+import math
+import os
+import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sigmahg.cli import run
 from sigmahg.core import NoRepresentation, make_spec, matching_to_json, verify_matching
 from sigmahg.matching import (
     MatchingReport,
@@ -84,3 +91,74 @@ def test_nu_never_exceeds_the_exact_maximum(n, q, parts):
         return
     for name, rep in strategy_reports(spec):
         assert rep.nu <= exact, (spec, name)
+
+
+# Numbers stay small so that a well-formed spec keeps the grid small; the
+# fuzz is after malformed values, not large ones.
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 12),
+    st.floats(-20, 20),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.text(max_size=3),
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=6,
+)
+# A field is a scalar or a flat list more often than a nested value, so the
+# conversion of each field is reached as well as the shape checks around it.
+json_fields = json_leaves | st.lists(json_leaves, max_size=4) | json_values
+edge_objects = st.lists(
+    st.fixed_dictionaries({"class": json_fields, "rows": json_fields}), max_size=3
+)
+vertex_objects = st.fixed_dictionaries({"class": json_fields, "row": json_fields})
+matching_objects = st.one_of(
+    st.fixed_dictionaries(
+        {
+            "edges": st.lists(edge_objects, max_size=3),
+            "unmatched": st.lists(vertex_objects, max_size=3),
+        }
+    ),
+    json_values,
+)
+spec_objects = st.one_of(
+    st.fixed_dictionaries({"n": json_fields, "q": json_fields, "sigma": json_fields}),
+    json_values,
+)
+
+
+def run_verify(spec_obj, matching_obj):
+    """Exit code, stdout and stderr of ``verify`` on the two objects as files."""
+    with tempfile.TemporaryDirectory() as tmp:
+        spec_path = os.path.join(tmp, "spec.json")
+        matching_path = os.path.join(tmp, "matching.json")
+        with open(spec_path, "w", encoding="utf-8") as fh:
+            json.dump(spec_obj, fh)
+        with open(matching_path, "w", encoding="utf-8") as fh:
+            json.dump(matching_obj, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["verify", "--spec", spec_path, "--matching", matching_path])
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_clean_exit(code, out, err):
+    assert code in (0, 1, 4), (code, err)
+    if code == 1:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@DETERMINISTIC
+@given(matching_objects)
+def test_verify_survives_any_matching_object(matching_obj):
+    assert_clean_exit(*run_verify({"n": 3, "q": 3, "sigma": [2, 1]}, matching_obj))
+
+
+@DETERMINISTIC
+@given(spec_objects)
+def test_verify_survives_any_spec_object(spec_obj):
+    assert_clean_exit(*run_verify(spec_obj, {"edges": [], "unmatched": []}))
