@@ -349,7 +349,8 @@ class VerificationReport:
 
 def verify_matching(spec: HypergraphSpec, m: Matching) -> VerificationReport:
     """Check a matching against the spec; violations are report content,
-    never exceptions.
+    never exceptions.  A grid too large to index in memory is refused with
+    a ValidationError.
 
     Grid cell (c, row) has id (c-1)*q + (row-1); ``owner`` holds, per id,
     the first edge covering it (-1 if none), and edge cells off the grid
@@ -358,7 +359,10 @@ def verify_matching(spec: HypergraphSpec, m: Matching) -> VerificationReport:
     """
     n, q, parts = spec.n, spec.q, spec.sigma.parts
     violations: list[Violation] = []
-    owner = [-1] * (n * q)
+    try:
+        owner = [-1] * (n * q)
+    except (OverflowError, MemoryError) as exc:
+        raise ValidationError(f"{spec} has {n * q} vertices, too many to verify") from exc
     outside: dict[tuple[int, int], int] = {}
     for idx, edge in enumerate(m.edges):
         first_out = None

@@ -116,7 +116,10 @@ def best_feasible_sequence(spec: HypergraphSpec, k: int) -> tuple[int, FeasibleS
 
 def alpha_k(spec: HypergraphSpec, k: int) -> int:
     """Largest size of a set meeting every edge in at most k vertices."""
-    return alpha_k_witness(spec, k)[0]
+    _check_k(k, spec.r)
+    if not spec.has_edges:
+        return spec.num_vertices
+    return best_feasible_sequence(spec, k)[0]
 
 
 def alpha_k_witness(spec: HypergraphSpec, k: int) -> tuple[int, tuple[int, ...]]:

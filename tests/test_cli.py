@@ -71,6 +71,14 @@ class TestBoundsCommand:
         assert payload["feasible"] is True
         assert payload["chi_lower"] == 2
 
+    def test_huge_n_answers_at_once(self, capsys):
+        spec_args = ["--n", "1000000000", "--q", "5", "--sigma", "4,3,2"]
+        code, payload, _ = invoke_json(
+            ["bounds", *spec_args, "--alpha", "2", "--beta", "8"], capsys
+        )
+        assert code == 0
+        assert payload["alpha_beta_independence"] == payload["independence"] == 3 * 10**9
+
     def test_bad_order_is_invalid(self, capsys):
         code, _, _ = invoke(["bounds", *SPEC, "--alpha", "5", "--beta", "2"], capsys)
         assert code == 1
@@ -149,6 +157,10 @@ class TestVerifyCommand:
             '{"n": 3, "q": Infinity, "sigma": [2, 1]}',
             '{"n": NaN, "q": 3, "sigma": [2, 1]}',
             '{"n": 3, "q": 3, "sigma": [2, -Infinity]}',
+            # grids too large to index: n*q above 2**63 and above 2**60
+            '{"n": 1e19, "q": 1, "sigma": [1]}',
+            '{"n": 4611686018427387904, "q": 4, "sigma": [2, 1]}',
+            '{"n": 2305843009213693952, "q": 1, "sigma": [1]}',
         ]
         bad_matchings = [
             '{"edges": [[{"class": 1, "rows": ["x"]}]], "unmatched": []}',

@@ -210,6 +210,15 @@ class TestAlphaK:
         assert values == sorted(values)
         assert values[-1] == alpha_value(spec)
 
+    def test_huge_n_builds_no_length_n_profile(self):
+        # the value reads the s-entry profile; a length-10**9 tuple would
+        # take gigabytes
+        spec = make_spec(10**9, 5, [4, 3, 2])
+        values = [alpha_k(spec, k) for k in range(1, spec.r)]
+        assert values == sorted(values)
+        assert values[-1] == alpha_value(spec) == 3 * 10**9
+        assert colouring_bounds(spec, 2, 8).alpha_beta_ind == 3 * 10**9
+
     def test_monotone_in_k_q_n(self):
         for parts in [(2, 1), (2, 2), (3, 1)]:
             for n in range(len(parts), 5):

@@ -93,16 +93,17 @@ def test_nu_never_exceeds_the_exact_maximum(n, q, parts):
         assert rep.nu <= exact, (spec, name)
 
 
-# Numbers stay small so that a well-formed spec keeps the grid small; the
-# fuzz is after malformed values, not large ones.
-json_leaves = st.one_of(
-    st.none(),
-    st.booleans(),
+# Numbers are small or at least 2**63: a well-formed spec then either keeps
+# the grid small or has more cells than a list can index, which verify
+# refuses before allocating anything.  Sizes in between would allocate.
+json_numbers = st.one_of(
     st.integers(-3, 12),
     st.floats(-20, 20),
+    st.integers(2**63, 2**70),
+    st.floats(2.0**63, 1e300),
     st.sampled_from([math.nan, math.inf, -math.inf]),
-    st.text(max_size=3),
 )
+json_leaves = st.one_of(st.none(), st.booleans(), json_numbers, st.text(max_size=3))
 json_values = st.recursive(
     json_leaves,
     lambda inner: st.lists(inner, max_size=3)
@@ -126,6 +127,9 @@ matching_objects = st.one_of(
     json_values,
 )
 spec_objects = st.one_of(
+    st.fixed_dictionaries(
+        {"n": json_numbers, "q": json_numbers, "sigma": st.lists(json_numbers, max_size=3)}
+    ),
     st.fixed_dictionaries({"n": json_fields, "q": json_fields, "sigma": json_fields}),
     json_values,
 )
