@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from typing import TextIO
 
 from . import core, independence, matching, oracle
 from .core import NoRepresentation, SigmaHypergraphError, ValidationError
@@ -49,13 +50,22 @@ def _spec_parent() -> _Parser:
     return parent
 
 
+def _read_json(fh: TextIO) -> object:
+    """Parse one JSON document from an open file; nesting too deep for the
+    parser is invalid input, not a crash."""
+    try:
+        return json.load(fh)
+    except RecursionError:
+        raise ValidationError(f"{fh.name}: JSON nested too deeply") from None
+
+
 def _load_spec(args: argparse.Namespace) -> core.HypergraphSpec:
     inline = args.n is not None or args.q is not None or args.sigma is not None
     if args.spec is not None and inline:
         raise _UsageError("give either --spec FILE or inline --n/--q/--sigma, not both")
     if args.spec is not None:
         with open(args.spec, "r", encoding="utf-8") as fh:
-            return core.spec_from_json(json.load(fh))
+            return core.spec_from_json(_read_json(fh))
     if args.n is None or args.q is None or args.sigma is None:
         raise _UsageError("spec needs --n, --q and --sigma (or --spec FILE)")
     try:
@@ -183,10 +193,10 @@ def _cmd_match(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
     if args.matching == "-":
-        obj = json.load(sys.stdin)
+        obj = _read_json(sys.stdin)
     else:
         with open(args.matching, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = _read_json(fh)
     if isinstance(obj, dict) and "matching" in obj:
         obj = obj["matching"]
     m = core.matching_from_json(obj)

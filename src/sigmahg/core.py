@@ -255,25 +255,25 @@ def is_edge(spec: HypergraphSpec, candidate: Edge) -> bool:
 
 
 def _distinct_permutations(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Distinct permutations of a multiset, in descending lexicographic order."""
-    counts = Counter(values)
-    total = len(values)
-    prefix: list[int] = []
+    """Distinct permutations of a multiset, in descending lexicographic order.
 
-    def rec() -> Iterator[tuple[int, ...]]:
-        if len(prefix) == total:
-            yield tuple(prefix)
+    Each step lowers the rightmost entry that exceeds its successor to the
+    largest smaller value in the (ascending) tail behind it, then turns that
+    tail descending: the next permutation down.
+    """
+    perm = sorted(values, reverse=True)
+    while True:
+        yield tuple(perm)
+        i = len(perm) - 2
+        while i >= 0 and perm[i] <= perm[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        for v in sorted(counts, reverse=True):
-            if counts[v] == 0:
-                continue
-            counts[v] -= 1
-            prefix.append(v)
-            yield from rec()
-            prefix.pop()
-            counts[v] += 1
-
-    yield from rec()
+        j = len(perm) - 1
+        while perm[j] >= perm[i]:
+            j -= 1
+        perm[i], perm[j] = perm[j], perm[i]
+        perm[i + 1 :] = perm[:i:-1]
 
 
 def enumerate_edges(spec: HypergraphSpec) -> Iterator[Edge]:

@@ -58,33 +58,37 @@ def _maximal_profiles(q: int, k: int, parts: tuple[int, ...]) -> tuple[FeasibleS
     s = len(parts)
     found: list[FeasibleSequence] = []
 
-    def extend(i: int, upper: int, remaining: int, suffix: list[int]) -> None:
-        # remaining = what the entries from position i onward must still
-        # contribute to the capped overlap.
-        if i == s:
-            if remaining == 0:
-                found.append(FeasibleSequence(tuple(suffix), k, t))
-            return
-        for value in range(upper, -1, -1):
-            # After the drop, an entry at or above its part and below its
-            # predecessor can be raised without changing the overlap; the
-            # first entry any dominating profile raises is such an entry.
-            if i >= t and parts[i] <= value < upper:
-                continue
-            contrib = min(parts[i], value)
-            if contrib > remaining:
-                continue
-            suffix.append(value)
-            extend(i + 1, value, remaining - contrib, suffix)
-            suffix.pop()
-
     for t in range(1, s + 1):
         prefix_overlap = sum(parts[: t - 1])
         if prefix_overlap > k:
             break
         # Position t is the first drop below sigma, so b_t <= a_t - 1; the
         # prefix is pinned to q (anything less is dominated by raising it).
-        extend(t - 1, min(parts[t - 1] - 1, q), k - prefix_overlap, [q] * (t - 1))
+        # Depth-first over positions t..s with an explicit stack; a node is
+        # (0-based index i, the cap on entry i, what entries i.. must still
+        # contribute to the capped overlap, the entries chosen after the
+        # prefix as a linked list, newest first).
+        stack = [(t - 1, min(parts[t - 1] - 1, q), k - prefix_overlap, None)]
+        while stack:
+            i, upper, remaining, chain = stack.pop()
+            a_i = parts[i]
+            for value in range(upper, -1, -1):
+                # After the drop, an entry at or above its part and below its
+                # predecessor can be raised without changing the overlap; the
+                # first entry any dominating profile raises is such an entry.
+                if i >= t and a_i <= value < upper:
+                    continue
+                contrib = min(a_i, value)
+                if contrib > remaining:
+                    continue
+                if i + 1 < s:
+                    stack.append((i + 1, value, remaining - contrib, (value, chain)))
+                elif contrib == remaining:
+                    b, link = [value], chain
+                    while link is not None:
+                        entry, link = link
+                        b.append(entry)
+                    found.append(FeasibleSequence((q,) * (t - 1) + tuple(reversed(b)), k, t))
 
     return tuple(sorted(found, key=lambda seq: seq.b, reverse=True))
 

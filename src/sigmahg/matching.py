@@ -10,8 +10,8 @@ re-check the output with :func:`sigmahg.core.verify_matching`.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -225,20 +225,15 @@ def _band_parts(
     width = len(classes)
     if width < len(sizes):
         raise ValidationError(f"band of width {width} cannot host {len(sizes)} parts")
-    offsets = [0]
+    spans = []  # part i's fixed row block
+    row = row0
     for a in sizes:
-        offsets.append(offsets[-1] + a)
-    result = []
-    for j in range(width):
-        parts = tuple(
-            (
-                classes[(j + i) % width],
-                frozenset(range(row0 + offsets[i] + 1, row0 + offsets[i + 1] + 1)),
-            )
-            for i in range(len(sizes))
-        )
-        result.append(parts)
-    return result
+        spans.append(range(row + 1, row + a + 1))
+        row += a
+    return [
+        tuple((classes[(j + i) % width], frozenset(rows)) for i, rows in enumerate(spans))
+        for j in range(width)
+    ]
 
 
 def _band_edges(sizes: tuple[int, ...], classes: list[int], row0: int) -> list[Edge]:
@@ -269,14 +264,14 @@ def all_ones_maximum_matching(spec: HypergraphSpec) -> MatchingReport:
     """Maximum matching for sigma = (1,...,1), leaving exactly nq mod r
     vertices unmatched.
 
-    Layout: full bands of height r are tiled with width-r blocks (matched
-    row by row) and width-(r+1) blocks (row i matched minus its i-th
-    vertex, the punctured diagonal forming the extra edge); the bottom
-    residual strip is matched row by row over width-r blocks, leaving a
-    corner of at most (r-1)^2 cells.  Corner cells are then absorbed r at
-    a time by an exchange: each replaces a donor vertex in an untouched
-    first-band edge, and the r freed donors (one per block, so pairwise
-    distinct classes) form one new edge.
+    Layout: full bands of height r are the shifted bands of
+    :func:`_band_edges`; the bottom residual strip is matched row by row
+    over width-r blocks, leaving a corner of g x t cells (g = n mod r,
+    t = q mod r), at most (r-1)^2.  Corner cells are then absorbed r at a
+    time by an exchange: the k-th corner cell replaces the row-1 part of
+    first-band edge k, and every r freed parts form one new edge.  Edge
+    k < (r-1)^2 spans classes k+1..k+r <= r^2 - r, left of every corner
+    class, and the freed parts lie in distinct classes.
     """
     sigma, n, q = spec.sigma, spec.n, spec.q
     r = sigma.r
@@ -287,93 +282,46 @@ def all_ones_maximum_matching(spec: HypergraphSpec) -> MatchingReport:
     if q < r:
         raise RegimeError(f"need q >= r = {r}, got q={q}")
 
-    x, y = frobenius_decompose(n, r, r + 1)
-    widths = [r] * x + [r + 1] * y
-    starts = list(itertools.accumulate([0] + widths[:-1]))
-    blocks = list(zip(starts, widths))
-
+    classes = list(range(1, n + 1))
+    bands = q // r
     edges: list[Edge] = []
-    band0_edge_ids: list[list[int]] = []
-    bands, t = divmod(q, r)
     for band in range(bands):
-        row0 = band * r
-        for c0, w in blocks:
-            ids = []
-            if w == r:
-                for i in range(r):
-                    ids.append(len(edges))
-                    edges.append(
-                        Edge(
-                            tuple(
-                                (c0 + 1 + j, frozenset({row0 + i + 1}))
-                                for j in range(r)
-                            )
-                        )
-                    )
-            else:
-                for i in range(r):
-                    ids.append(len(edges))
-                    edges.append(
-                        Edge(
-                            tuple(
-                                (c0 + 1 + j, frozenset({row0 + i + 1}))
-                                for j in range(r + 1)
-                                if j != i
-                            )
-                        )
-                    )
-                ids.append(len(edges))
-                edges.append(
-                    Edge(
-                        tuple(
-                            (c0 + 1 + i, frozenset({row0 + i + 1})) for i in range(r)
-                        )
-                    )
-                )
-            if band == 0:
-                band0_edge_ids.append(ids)
+        edges.extend(_band_edges(sigma.parts, classes, band * r))
 
-    full_width, g = divmod(n, r)
+    full_width = n // r
+    strip = range(bands * r + 1, q + 1)
     for blk in range(full_width):
-        for i in range(t):
-            edges.append(
-                Edge(
-                    tuple(
-                        (blk * r + 1 + j, frozenset({bands * r + i + 1}))
-                        for j in range(r)
-                    )
-                )
-            )
+        for row in strip:
+            edges.append(Edge(tuple((blk * r + j, frozenset({row})) for j in range(1, r + 1))))
 
-    corner = [
-        Vertex(c, row)
-        for row in range(bands * r + 1, q + 1)
-        for c in range(full_width * r + 1, n + 1)
-    ]
-    groups = len(corner) // r
-    if groups and len(band0_edge_ids) < r:
-        raise RegimeError("not enough donor blocks for the corner exchange")
-    for gi in range(groups):
-        freed = []
-        for m, v in enumerate(corner[gi * r : (gi + 1) * r]):
-            eidx = band0_edge_ids[m][gi]
-            donor = edges[eidx]
-            victim_class, victim_rows = donor.parts[0]
-            edges[eidx] = Edge(
-                donor.parts[1:] + ((v.class_index, frozenset({v.row_index})),)
-            )
-            freed.append((victim_class, victim_rows))
-        edges.append(Edge(tuple(freed)))
-    leftover = corner[groups * r :]
+    corner = [Vertex(c, row) for row in strip for c in range(full_width * r + 1, n + 1)]
+    used = len(corner) // r * r
+    # first-band edge k (no wrap-around, k < (r-1)^2) has its row-1 part first
+    freed = [edges[k].parts[0] for k in range(used)]
+    for k, v in enumerate(corner[:used]):
+        edges[k] = Edge(edges[k].parts[1:] + ((v.class_index, frozenset({v.row_index})),))
+    edges.extend(Edge(tuple(freed[i : i + r])) for i in range(0, used, r))
 
     return MatchingReport.of(
         spec,
-        Matching(tuple(edges), VertexSet(frozenset(leftover))),
+        Matching(tuple(edges), VertexSet(frozenset(corner[used:]))),
         "all-ones",
         certificates=(
             ("nu_upper", (n * q) // r),
             ("unmatched_expected", (n * q) % r),
         ),
+    )
+
+
+def _contract_route(
+    spec: HypergraphSpec, inner_build: Callable[[HypergraphSpec], MatchingReport]
+) -> MatchingReport:
+    """Contract by d = gcd(sigma), build the inner report, expand it back;
+    labelled ``contract+`` the inner strategy."""
+    inner_spec, _ = contract(spec)
+    inner = inner_build(inner_spec)
+    return MatchingReport.of(
+        spec, expand(spec, inner.matching), f"contract+{inner.strategy}", proven=inner.proven
     )
 
 
@@ -391,23 +339,19 @@ def rectangular_maximum_matching(spec: HypergraphSpec) -> MatchingReport:
         raise RegimeError(f"need q >= r*delta = {r * delta}, got q={q}")
     if delta == 1:
         return all_ones_maximum_matching(spec)
-    contracted, _ = contract(spec)
-    inner = all_ones_maximum_matching(contracted)
-    matching = expand(spec, inner.matching)
-    nu = len(matching.edges)
+    report = _contract_route(spec, all_ones_maximum_matching)
     expected = n * (q - q % delta) // r
-    if nu != expected:
+    if report.nu != expected:
         raise SigmaHypergraphError(
-            f"internal: constructed {nu} edges, expected {expected}"
+            f"internal: constructed {report.nu} edges, expected {expected}"
         )
-    return MatchingReport.of(
-        spec,
-        matching,
-        "rectangular",
+    return replace(
+        report,
+        strategy="rectangular",
         certificates=(
             ("nu_upper", (n * q) // r),
             ("nu_expected", expected),
-            ("gcd_nu_upper", n * (q - q % delta) // r),
+            ("gcd_nu_upper", expected),
         ),
     )
 
@@ -420,25 +364,37 @@ def rectangular_maximum_matching(spec: HypergraphSpec) -> MatchingReport:
 def find_r_good_split(sigma: Sigma) -> RGoodSplit | None:
     """The split minimising L = lcm(a, b), or None when no subset of the
     parts has a sum coprime to r (ties broken toward the lexicographically
-    smallest index set A)."""
+    smallest index set A).
+
+    Bit x of reach[i] says that some subset of parts i+1..s sums to x, so
+    the best sums are known at once and A is built index by index, each
+    time taking the smallest index that can still complete a best sum.
+    """
     if sigma.s < 2:
         raise RegimeError(f"need at least two parts to split, got {sigma}")
-    r = sigma.r
-    best: tuple[int, tuple[int, ...]] | None = None
-    for size in range(1, sigma.s):
-        for combo in itertools.combinations(range(1, sigma.s + 1), size):
-            a = sum(sigma.parts[i - 1] for i in combo)
-            if math.gcd(a, r) != 1:
-                continue
-            L = math.lcm(a, r - a)
-            if best is None or (L, combo) < best:
-                best = (L, combo)
-    if best is None:
+    parts, r, s = sigma.parts, sigma.r, sigma.s
+    reach = [1] * (s + 1)
+    for i in range(s - 1, -1, -1):
+        reach[i] = reach[i + 1] | (reach[i + 1] << parts[i])
+    # a proper nonempty subset sums to some a in 1..r-1, and every such sum
+    # comes from one
+    sums = [a for a in range(1, r) if reach[0] >> a & 1 and math.gcd(a, r) == 1]
+    if not sums:
         return None
-    L, combo = best
-    a = sum(sigma.parts[i - 1] for i in combo)
-    other = tuple(i for i in range(1, sigma.s + 1) if i not in combo)
-    return RGoodSplit(combo, other, a, r - a, L)
+    L = min(math.lcm(a, r - a) for a in sums)
+    targets = sum(1 << a for a in sums if math.lcm(a, r - a) == L)
+    combo: list[int] = []
+    a = 0
+    while not targets >> a & 1:
+        i = next(
+            i
+            for i in range(combo[-1] if combo else 0, s)
+            if (reach[i + 1] << (a + parts[i])) & targets
+        )
+        combo.append(i + 1)
+        a += parts[i]
+    other = tuple(i for i in range(1, s + 1) if i not in combo)
+    return RGoodSplit(tuple(combo), other, a, r - a, L)
 
 
 def _dls_cells(order: int) -> tuple[tuple[int, ...], ...]:
@@ -624,7 +580,9 @@ def r_good_maximum_matching(
     Regimes, strongest first; without ``force_regime`` the first whose
     gate holds is built:
 
-    * ``1a``  r | q: stacked shifted bands; perfect.
+    * ``1a``  r | q: the stacked shifted bands of
+              :func:`diagonal_perfect_matching`, reported as ``diagonal``;
+              perfect.
     * ``1b``  r | n and q = x*L + y*r: packed plus shifted bands; perfect.
     * ``3``   q >= L(r^2-1) and n >= s+r: stacked strips built from
               exchangeable square blocks (diagonal-Latin-square blocks, or
@@ -650,7 +608,7 @@ def r_good_maximum_matching(
 
     def build_1a() -> MatchingReport:
         return MatchingReport.of(
-            spec, diagonal_perfect_matching(spec), "rgood-1a", (("nu_upper", n * q // r),)
+            spec, diagonal_perfect_matching(spec), "diagonal", (("nu_upper", n * q // r),)
         )
 
     def build_1b() -> MatchingReport:
@@ -855,32 +813,26 @@ def best_matching(spec: HypergraphSpec) -> MatchingReport:
     """Return the report with the largest matching among the applicable
     strategies (ties go to the earlier strategy).
 
-    Order tried: full-height bands (r | q), the rectangular pipeline, the
-    r-good dispatcher, contract-recurse-expand when gcd(sigma) >= 2, and
-    finally the greedy fallback, which always succeeds.  No matching can
-    exceed floor(n(q - q mod d)/r) edges, d = gcd(sigma), so the first
-    candidate reaching that ceiling wins and no later strategy is built.
-    Greedy is decided on class loads first and its matching built only when
-    it beats every earlier candidate.
+    Order tried: full-height bands (r | q), the all-ones construction, the
+    r-good dispatcher, contract-recurse-expand when gcd(sigma) >= 2 (the
+    route rectangular sigma with parts >= 2 takes), and finally the greedy
+    fallback, which always succeeds.  No matching can exceed
+    floor(n(q - q mod d)/r) edges, d = gcd(sigma), so the first candidate
+    reaching that ceiling wins and no later strategy is built.  Greedy is
+    decided on class loads first and its matching built only when it beats
+    every earlier candidate.
     """
     n, q, r, d = spec.n, spec.q, spec.r, spec.sigma.d
     ceiling = n * (q - q % d) // r
     best: MatchingReport | None = None
 
-    def contracted_route() -> MatchingReport:
-        inner_spec, _ = contract(spec)
-        inner = best_matching(inner_spec)
-        return MatchingReport.of(
-            spec, expand(spec, inner.matching), f"contract+{inner.strategy}", proven=inner.proven
-        )
-
     strategies = [lambda: MatchingReport.of(spec, diagonal_perfect_matching(spec), "diagonal")]
-    if spec.sigma.is_rectangular():
-        strategies.append(lambda: rectangular_maximum_matching(spec))
+    if spec.sigma.parts == (1,) * r:
+        strategies.append(lambda: all_ones_maximum_matching(spec))
     if spec.sigma.s >= 2:
         strategies.append(lambda: r_good_maximum_matching(spec))
     if d >= 2:
-        strategies.append(contracted_route)
+        strategies.append(lambda: _contract_route(spec, best_matching))
     for build in strategies:
         try:
             cand = build()

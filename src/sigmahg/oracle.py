@@ -8,6 +8,7 @@ loudly (BudgetExceeded) rather than ever truncating a search.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -78,7 +79,7 @@ def _monotone_profiles(n: int, q: int):
 
 @lru_cache(maxsize=256)
 def _profile_overlap_table(
-    n: int, q: int, parts: tuple[int, ...]
+    n: int, q: int, parts: tuple[int, ...], time_limit: float
 ) -> tuple[tuple[int, int], ...]:
     """For every monotone profile: (sum, max overlap over all part placements).
 
@@ -87,9 +88,11 @@ def _profile_overlap_table(
     sum of min(part, profile entry).  Every placement is tried - no
     rearrangement shortcut - so this stays independent of the fast path.
     """
+    deadline = _Deadline(time_limit)
     placements = list(itertools.permutations(range(n), len(parts)))
     table = []
     for profile in _monotone_profiles(n, q):
+        deadline.check("bf_alpha_k")
         worst = 0
         for placement in placements:
             ov = sum(min(a, profile[c]) for a, c in zip(parts, placement))
@@ -106,14 +109,21 @@ def bf_alpha_k(
 
     Classes are interchangeable, so the best k-independent set may be
     assumed to take the top b_i rows of class i with b monotone; every
-    placement of the parts is checked against every profile.
+    placement of the parts is checked against every profile.  The number
+    of placements, n!/(n-s)!, is checked against ``budget.max_edges``
+    before any is built.
     """
     if not 1 <= k <= spec.r - 1:
         raise ValidationError(f"k must satisfy 1 <= k <= r-1 = {spec.r - 1}, got {k}")
     if not spec.has_edges:
         return spec.num_vertices
     _check_vertices(spec, budget, "bf_alpha_k")
-    table = _profile_overlap_table(spec.n, spec.q, spec.sigma.parts)
+    placements = math.perm(spec.n, spec.sigma.s)
+    if placements > budget.max_edges:
+        raise BudgetExceeded(
+            f"bf_alpha_k: {placements} part placements exceeds budget {budget.max_edges}"
+        )
+    table = _profile_overlap_table(spec.n, spec.q, spec.sigma.parts, budget.time_limit)
     return max(total for total, worst in table if worst <= k)
 
 

@@ -18,6 +18,7 @@ def invoke_json(argv, capsys):
 
 
 SPEC = ["--n", "10", "--q", "5", "--sigma", "4,3,2"]
+ONES_1100 = ["--n", "1100", "--q", "1", "--sigma", ",".join(["1"] * 1100)]
 
 
 class TestAlphaCommand:
@@ -43,6 +44,11 @@ class TestAlphaCommand:
             ["alpha", "--n", "10", "--q", "5", "--sigma", "4,3,2", "--k", "7"], capsys
         )
         assert a == b
+
+    def test_thousand_parts_need_no_recursion(self, capsys):
+        code, payload, err = invoke_json(["alpha", *ONES_1100, "--k", "1"], capsys)
+        assert code == 0 and err == ""
+        assert payload["alpha_k"] == 1  # q = 1: any two vertices share an edge
 
     def test_missing_k_is_invalid(self, capsys):
         code, _, err = invoke(["alpha", *SPEC], capsys)
@@ -113,6 +119,18 @@ class TestMatchCommand:
         assert code == 0
         assert payload["unproven_regime"] is True
 
+    def test_forty_parts_return_at_once(self):
+        # 40 parts have 2^40 subsets: the r-good split must not try them all
+        proc = subprocess.run(
+            [sys.executable, "-m", "sigmahg", "match", "--n", "40", "--q", "1",
+             "--sigma", ",".join(["1"] * 40), "--format", "json"],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["nu"] == 1
+
     def test_emit_round_trips_through_verify(self, capsys, tmp_path):
         for spec_args in (
             ["--n", "3", "--q", "9", "--sigma", "4,3,2"],
@@ -180,8 +198,11 @@ class TestVerifyCommand:
             cases.append(["--spec", str(good_spec), "--matching", str(blob)])
         not_utf8 = tmp_path / "binary.json"
         not_utf8.write_bytes(b"\xff\xfe\x00")
-        cases.append(["--spec", str(not_utf8), "--matching", str(empty)])
-        cases.append(["--spec", str(good_spec), "--matching", str(not_utf8)])
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000 + "]" * 200_000)
+        for blob in (not_utf8, deep):
+            cases.append(["--spec", str(blob), "--matching", str(empty)])
+            cases.append(["--spec", str(good_spec), "--matching", str(blob)])
         for argv in cases:
             code, out, err = invoke(["verify", *argv], capsys)
             assert code == 1 and out == "", argv
@@ -222,6 +243,11 @@ class TestEdgesCommand:
         )
         assert code == 0
         assert len(payload["edges"]) == payload["count"] == 4
+
+    def test_list_thousand_parts(self, capsys):
+        code, payload, err = invoke_json(["edges", *ONES_1100, "--list"], capsys)
+        assert code == 0 and err == ""
+        assert payload["count"] == len(payload["edges"]) == 1
 
     def test_list_over_budget_exit_code(self, capsys):
         code, out, err = invoke(
@@ -280,6 +306,12 @@ class TestOracleCommand:
             assert err == f"error: SIGMA_HYPER_BUDGET must be finite, got {raw!r}\n"
 
     def test_budget_exit_code(self, capsys, monkeypatch):
+        # 32!/16! placements of sixteen parts are refused before any is built
+        ones = ",".join(["1"] * 16)
+        code, _, err = invoke(
+            ["oracle", "alpha", "--n", "32", "--q", "1", "--sigma", ones, "--k", "1"], capsys
+        )
+        assert code == 3 and err.startswith("error: bf_alpha_k: ")
         monkeypatch.setenv("SIGMA_HYPER_BUDGET", "0.1")
         code, _, _ = invoke(
             ["oracle", "match", "--n", "4", "--q", "4", "--sigma", "2,1"], capsys

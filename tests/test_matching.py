@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -17,6 +18,7 @@ from sigmahg.matching import (
     MatchingReport,
     NoSuchDesign,
     RegimeError,
+    RGoodSplit,
     all_ones_maximum_matching,
     best_matching,
     canonicalize,
@@ -78,13 +80,31 @@ def reference_greedy(spec):
     return Matching(tuple(edges), VertexSet(unmatched))
 
 
+def reference_r_good_split(parts):
+    """The r-good split by trying every proper subset of part indices:
+    (L, A) least over subsets whose sum is coprime to r, or None."""
+    r, s = sum(parts), len(parts)
+    best = None
+    for size in range(1, s):
+        for combo in itertools.combinations(range(1, s + 1), size):
+            a = sum(parts[i - 1] for i in combo)
+            if math.gcd(a, r) == 1 and (best is None or (math.lcm(a, r - a), combo) < best):
+                best = (math.lcm(a, r - a), combo)
+    if best is None:
+        return None
+    L, combo = best
+    a = sum(parts[i - 1] for i in combo)
+    other = tuple(i for i in range(1, s + 1) if i not in combo)
+    return RGoodSplit(combo, other, a, r - a, L)
+
+
 def exhaustive_best(spec):
     """best_matching without shortcuts: build every applicable candidate in
     the dispatcher's order and keep the first largest."""
     n, q, r, d = spec.n, spec.q, spec.r, spec.sigma.d
     builds = [lambda: MatchingReport.of(spec, diagonal_perfect_matching(spec), "diagonal")]
-    if spec.sigma.is_rectangular():
-        builds.append(lambda: rectangular_maximum_matching(spec))
+    if spec.sigma.parts == (1,) * r:
+        builds.append(lambda: all_ones_maximum_matching(spec))
     if spec.sigma.s >= 2:
         builds.append(lambda: r_good_maximum_matching(spec))
     if d >= 2:
@@ -306,7 +326,7 @@ class TestAllOnes:
         assert verify_matching(spec, rep.matching).ok
 
     def test_sweep_exact_remainder(self):
-        for r in (2, 3):
+        for r in range(2, 7):
             for n in range((r + 1) ** 2, (r + 1) ** 2 + 5):
                 for q in range(r, r + 6):
                     spec = make_spec(n, q, [1] * r)
@@ -351,7 +371,7 @@ class TestRectangular:
                 for q in range(r * delta, r * delta + 4):
                     spec = make_spec(n, q, [delta] * s)
                     rep = rectangular_maximum_matching(spec)
-                    assert rep.nu == n * (q - q % delta) // r, spec
+                    assert rep.nu == best_matching(spec).nu == n * (q - q % delta) // r, spec
                     assert rep.unmatched_count == n * (q % delta) + delta * (
                         (n * (q // delta)) % s
                     ), spec
@@ -383,6 +403,12 @@ class TestRGoodSplit:
     def test_single_part_rejected(self):
         with pytest.raises(RegimeError):
             find_r_good_split(core.Sigma((5,)))
+
+    def test_matches_enumeration_reference(self):
+        for r in range(2, 15):
+            for parts in partitions(r):
+                if len(parts) >= 2:
+                    assert find_r_good_split(core.Sigma(parts)) == reference_r_good_split(parts)
 
     def test_invariants_exhaustive(self):
         for r in range(2, 13):
@@ -506,7 +532,7 @@ class TestRGoodRegimes:
     def test_height_divisible(self):
         spec = make_spec(4, 9, [2, 1])
         rep = r_good_maximum_matching(spec)
-        assert rep.strategy == "rgood-1a"
+        assert rep.strategy == "diagonal"
         assert rep.nu == 12 and rep.unmatched_count == 0
         assert verify_matching(spec, rep.matching).ok
 
@@ -536,7 +562,7 @@ class TestRGoodRegimes:
     def test_forced_regimes(self):
         spec = make_spec(13, 150, [2, 2, 1])
         auto = r_good_maximum_matching(spec)
-        assert auto.strategy == "rgood-1a" and auto.unmatched_count == 0
+        assert auto.strategy == "diagonal" and auto.unmatched_count == 0
         forced = r_good_maximum_matching(spec, force_regime="3")
         assert forced.strategy == "rgood-3"
         assert forced.unmatched_count <= 16
