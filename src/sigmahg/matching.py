@@ -225,15 +225,20 @@ def _band_parts(
     width = len(classes)
     if width < len(sizes):
         raise ValidationError(f"band of width {width} cannot host {len(sizes)} parts")
-    spans = []  # part i's fixed row block
-    row = row0
+    offsets = [0]
     for a in sizes:
-        spans.append(range(row + 1, row + a + 1))
-        row += a
-    return [
-        tuple((classes[(j + i) % width], frozenset(rows)) for i, rows in enumerate(spans))
-        for j in range(width)
-    ]
+        offsets.append(offsets[-1] + a)
+    result = []
+    for j in range(width):
+        parts = tuple(
+            (
+                classes[(j + i) % width],
+                frozenset(range(row0 + offsets[i] + 1, row0 + offsets[i + 1] + 1)),
+            )
+            for i in range(len(sizes))
+        )
+        result.append(parts)
+    return result
 
 
 def _band_edges(sizes: tuple[int, ...], classes: list[int], row0: int) -> list[Edge]:
@@ -275,7 +280,7 @@ def all_ones_maximum_matching(spec: HypergraphSpec) -> MatchingReport:
     """
     sigma, n, q = spec.sigma, spec.n, spec.q
     r = sigma.r
-    if sigma.parts != (1,) * r:
+    if sigma.r != sigma.s:
         raise RegimeError(f"sigma must be all ones, got {sigma}")
     if n < (r + 1) ** 2:
         raise RegimeError(f"need n >= (r+1)^2 = {(r + 1) ** 2}, got n={n}")
@@ -366,30 +371,31 @@ def find_r_good_split(sigma: Sigma) -> RGoodSplit | None:
     parts has a sum coprime to r (ties broken toward the lexicographically
     smallest index set A).
 
-    Bit x of reach[i] says that some subset of parts i+1..s sums to x, so
-    the best sums are known at once and A is built index by index, each
-    time taking the smallest index that can still complete a best sum.
+    reach[i] holds the sums below r of the subsets of parts i+1..s, at most
+    min(2^(s-i), r) of them, so the best sums are known at once and A is
+    built index by index, each time taking the smallest index that can
+    still complete a best sum.
     """
     if sigma.s < 2:
         raise RegimeError(f"need at least two parts to split, got {sigma}")
     parts, r, s = sigma.parts, sigma.r, sigma.s
-    reach = [1] * (s + 1)
+    reach = [{0}] * (s + 1)
     for i in range(s - 1, -1, -1):
-        reach[i] = reach[i + 1] | (reach[i + 1] << parts[i])
+        reach[i] = reach[i + 1] | {x + parts[i] for x in reach[i + 1] if x + parts[i] < r}
     # a proper nonempty subset sums to some a in 1..r-1, and every such sum
     # comes from one
-    sums = [a for a in range(1, r) if reach[0] >> a & 1 and math.gcd(a, r) == 1]
+    sums = [a for a in reach[0] if a and math.gcd(a, r) == 1]
     if not sums:
         return None
     L = min(math.lcm(a, r - a) for a in sums)
-    targets = sum(1 << a for a in sums if math.lcm(a, r - a) == L)
+    targets = [a for a in sums if math.lcm(a, r - a) == L]
     combo: list[int] = []
     a = 0
-    while not targets >> a & 1:
+    while a not in targets:
         i = next(
             i
             for i in range(combo[-1] if combo else 0, s)
-            if (reach[i + 1] << (a + parts[i])) & targets
+            if any(t - a - parts[i] in reach[i + 1] for t in targets)
         )
         combo.append(i + 1)
         a += parts[i]
@@ -827,7 +833,7 @@ def best_matching(spec: HypergraphSpec) -> MatchingReport:
     best: MatchingReport | None = None
 
     strategies = [lambda: MatchingReport.of(spec, diagonal_perfect_matching(spec), "diagonal")]
-    if spec.sigma.parts == (1,) * r:
+    if spec.sigma.r == spec.sigma.s:
         strategies.append(lambda: all_ones_maximum_matching(spec))
     if spec.sigma.s >= 2:
         strategies.append(lambda: r_good_maximum_matching(spec))

@@ -131,6 +131,22 @@ class TestMatchCommand:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["nu"] == 1
 
+    def test_few_large_parts_return_at_once(self):
+        # r = 10^8 + 1: neither the all-ones guard nor the r-good split may
+        # do work that grows with r
+        spec_args = ["--n", "2", "--q", "3", "--sigma", "100000000,1"]
+        for strategy, code in (("auto", 0), ("rgood", 2)):
+            proc = subprocess.run(
+                [sys.executable, "-m", "sigmahg", "match", *spec_args,
+                 "--strategy", strategy, "--format", "json"],
+                capture_output=True,
+                text=True,
+                timeout=30,
+            )
+            assert proc.returncode == code, proc.stderr
+        assert proc.stdout == ""
+        assert "has no edges" in proc.stderr
+
     def test_emit_round_trips_through_verify(self, capsys, tmp_path):
         for spec_args in (
             ["--n", "3", "--q", "9", "--sigma", "4,3,2"],

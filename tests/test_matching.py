@@ -103,7 +103,7 @@ def exhaustive_best(spec):
     the dispatcher's order and keep the first largest."""
     n, q, r, d = spec.n, spec.q, spec.r, spec.sigma.d
     builds = [lambda: MatchingReport.of(spec, diagonal_perfect_matching(spec), "diagonal")]
-    if spec.sigma.parts == (1,) * r:
+    if spec.sigma.r == spec.sigma.s:
         builds.append(lambda: all_ones_maximum_matching(spec))
     if spec.sigma.s >= 2:
         builds.append(lambda: r_good_maximum_matching(spec))
