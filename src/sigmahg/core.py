@@ -50,9 +50,9 @@ class Sigma:
         try:
             parts = tuple(sorted((int(a) for a in self.parts), reverse=True))
         except (TypeError, ValueError) as exc:
-            raise ValidationError(f"sigma parts must be integers: {self.parts!r}") from exc
+            raise ValidationError(f"sigma parts must be integers: {_brief(self.parts)}") from exc
         if parts[-1] < 1:
-            raise ValidationError(f"sigma parts must be positive: {self.parts!r}")
+            raise ValidationError(f"sigma parts must be positive: {_brief(self.parts)}")
         object.__setattr__(self, "parts", parts)
 
     @property
@@ -276,24 +276,29 @@ def _distinct_permutations(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]
         perm[i + 1 :] = perm[:i:-1]
 
 
+def edge_shapes(spec: HypergraphSpec) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Yield (classes, sizes) once per distinct placement of sigma's parts,
+    n!/(n-s)!/prod(mult(v)!) in all, each carrying prod C(q, a) edges:
+    ascending over the class combination, then descending over sizes."""
+    if not spec.has_edges:
+        return
+    for classes in itertools.combinations(range(1, spec.n + 1), spec.sigma.s):
+        for sizes in _distinct_permutations(spec.sigma.parts):
+            yield classes, sizes
+
+
 def enumerate_edges(spec: HypergraphSpec) -> Iterator[Edge]:
     """Yield every edge exactly once, lazily.
 
-    Order (an artifact convention, nothing more): ascending over the chosen
-    class combination, then descending over the assignment of part sizes to
-    those classes, then ascending over row subsets.  Edge counts explode
-    combinatorially, so only drain this on small instances.
+    Order (an artifact convention, nothing more): the order of
+    :func:`edge_shapes`, then ascending over row subsets.  Edge counts
+    explode combinatorially, so only drain this on small instances.
     """
-    if not spec.has_edges:
-        return
-    parts = spec.sigma.parts
-    s = spec.sigma.s
     rows_universe = range(1, spec.q + 1)
-    for classes in itertools.combinations(range(1, spec.n + 1), s):
-        for sizes in _distinct_permutations(parts):
-            row_choices = [itertools.combinations(rows_universe, size) for size in sizes]
-            for row_sets in itertools.product(*row_choices):
-                yield Edge(tuple((c, frozenset(rs)) for c, rs in zip(classes, row_sets)))
+    for classes, sizes in edge_shapes(spec):
+        row_choices = [itertools.combinations(rows_universe, size) for size in sizes]
+        for row_sets in itertools.product(*row_choices):
+            yield Edge(tuple((c, frozenset(rs)) for c, rs in zip(classes, row_sets)))
 
 
 def count_edges(spec: HypergraphSpec) -> int:
@@ -440,6 +445,12 @@ def verify_matching(spec: HypergraphSpec, m: Matching) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
+def _brief(obj: object) -> str:
+    """repr(obj) for an error message, cut after its first 300 characters."""
+    text = repr(obj)
+    return text if len(text) <= 300 else text[:300] + "..."
+
+
 def spec_to_json(spec: HypergraphSpec) -> dict:
     return {"n": spec.n, "q": spec.q, "sigma": list(spec.sigma.parts)}
 
@@ -450,7 +461,7 @@ def spec_from_json(obj: dict) -> HypergraphSpec:
     except ValidationError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"malformed spec object: {obj!r}") from exc
+        raise ValidationError(f"malformed spec object: {_brief(obj)}") from exc
 
 
 def edge_to_json(edge: Edge) -> list:
@@ -463,7 +474,7 @@ def edge_from_json(obj: list) -> Edge:
     except ValidationError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"malformed edge object: {obj!r}") from exc
+        raise ValidationError(f"malformed edge object: {_brief(obj)}") from exc
 
 
 def matching_to_json(m: Matching) -> dict:
@@ -482,5 +493,5 @@ def matching_from_json(obj: dict) -> Matching:
     except ValidationError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"malformed matching object: {obj!r}") from exc
+        raise ValidationError(f"malformed matching object: {_brief(obj)}") from exc
     return Matching(edges, unmatched)

@@ -21,6 +21,7 @@ from .core import (
     ValidationError,
     VertexSet,
     count_edges,
+    edge_shapes,
     enumerate_edges,
 )
 
@@ -85,19 +86,16 @@ def _profile_overlap_table(
 
     A placement assigns each part to a distinct class; the overlap of the
     corresponding edge with the top-rows realisation of the profile is the
-    sum of min(part, profile entry).  Every placement is tried - no
+    sum of min(part, profile entry).  Equal parts are interchangeable, so
+    each distinct placement (each edge shape) is tried once - no
     rearrangement shortcut - so this stays independent of the fast path.
     """
     deadline = _Deadline(time_limit)
-    placements = list(itertools.permutations(range(n), len(parts)))
+    shapes = [tuple(zip(cs, sizes)) for cs, sizes in edge_shapes(HypergraphSpec(n, q, Sigma(parts)))]
     table = []
     for profile in _monotone_profiles(n, q):
         deadline.check("bf_alpha_k")
-        worst = 0
-        for placement in placements:
-            ov = sum(min(a, profile[c]) for a, c in zip(parts, placement))
-            if ov > worst:
-                worst = ov
+        worst = max(sum(min(a, profile[c - 1]) for c, a in shape) for shape in shapes)
         table.append((sum(profile), worst))
     return tuple(table)
 
@@ -109,9 +107,9 @@ def bf_alpha_k(
 
     Classes are interchangeable, so the best k-independent set may be
     assumed to take the top b_i rows of class i with b monotone; every
-    placement of the parts is checked against every profile.  The number
-    of placements, n!/(n-s)!, is checked against ``budget.max_edges``
-    before any is built.
+    distinct placement of the parts is checked against every profile.  The
+    number of placements counting equal parts apart, n!/(n-s)!, is checked
+    against ``budget.max_edges`` before any is built.
     """
     if not 1 <= k <= spec.r - 1:
         raise ValidationError(f"k must satisfy 1 <= k <= r-1 = {spec.r - 1}, got {k}")
@@ -256,19 +254,19 @@ def _colouring_summary(
     distinct colours seen on any edge)."""
     import numpy as np
 
-    spec = HypergraphSpec(n, q, Sigma(parts))
     deadline = _Deadline(time_limit)
     rgs = _set_partitions(n * q)
     blocks = rgs.max(axis=1).astype(np.int16) + 1
     lo = np.full(len(rgs), np.iinfo(np.int16).max, dtype=np.int16)
     hi = np.zeros(len(rgs), dtype=np.int16)
-    for edge in enumerate_edges(spec):
-        deadline.check("bf_colouring_spectrum")
-        idx = [(v.class_index - 1) * q + (v.row_index - 1) for v in edge.vertices()]
-        cols = np.sort(rgs[:, idx], axis=1)
-        distinct = 1 + (np.diff(cols, axis=1) != 0).sum(axis=1).astype(np.int16)
-        np.minimum(lo, distinct, out=lo)
-        np.maximum(hi, distinct, out=hi)
+    for classes, sizes in edge_shapes(HypergraphSpec(n, q, Sigma(parts))):
+        ids = [itertools.combinations(range((c - 1) * q, c * q), a) for c, a in zip(classes, sizes)]
+        for cells in itertools.product(*ids):
+            deadline.check("bf_colouring_spectrum")
+            cols = np.sort(rgs[:, list(itertools.chain(*cells))], axis=1)
+            distinct = 1 + (np.diff(cols, axis=1) != 0).sum(axis=1).astype(np.int16)
+            np.minimum(lo, distinct, out=lo)
+            np.maximum(hi, distinct, out=hi)
     return blocks, lo, hi
 
 
@@ -314,18 +312,29 @@ def bf_colouring_spectrum(
 def bf_max_intersection(
     spec: HypergraphSpec, b_set: VertexSet, budget: OracleBudget = DEFAULT_BUDGET
 ) -> int:
-    """Exact maximum overlap of any edge with ``b_set``, by draining the
-    edge stream."""
+    """Exact maximum overlap of any edge with ``b_set``, by scoring every
+    edge in the stream as the sum of its parts' overlaps |rows & B_c|,
+    counted once per (class, size) over that class's row subsets."""
     total = count_edges(spec)
     if total > budget.max_edges:
         raise BudgetExceeded(f"{total} edges exceeds budget {budget.max_edges}")
+    if not total:
+        return 0
     deadline = _Deadline(budget.time_limit)
-    members = b_set.members
+    members, rows = b_set.members, range(1, spec.q + 1)
+    hits = {  # (class, size) -> |rows & B_c| per row subset, in edge-stream order
+        (c, a): [sum((c, row) in members for row in rs) for rs in itertools.combinations(rows, a)]
+        for c in range(1, spec.n + 1)
+        for a in set(spec.sigma.parts)
+    }
+    scores = itertools.chain.from_iterable(
+        itertools.product(*(hits[c, a] for c, a in zip(classes, sizes)))
+        for classes, sizes in edge_shapes(spec)
+    )
     best = 0
-    for i, edge in enumerate(enumerate_edges(spec)):
+    for i, overlap in enumerate(map(sum, scores)):
         if i % 4096 == 0:
             deadline.check("bf_max_intersection")
-        overlap = sum(1 for v in edge.vertices() if v in members)
         if overlap > best:
             best = overlap
     return best

@@ -50,6 +50,19 @@ class TestAlphaCommand:
         assert code == 0 and err == ""
         assert payload["alpha_k"] == 1  # q = 1: any two vertices share an edge
 
+    def test_huge_malformed_spec_gives_a_short_error(self, capsys, tmp_path):
+        blob = tmp_path / "spec.json"
+        blob.write_text(json.dumps({"q": 3, "sigma": [2, 1], "junk": "x" * 100_000}))
+        code, out, err = invoke(["alpha", "--spec", str(blob), "--k", "1"], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: malformed spec object: {'q': 3, 'sigma': [2, 1], 'junk'")
+        assert err.count("\n") == 1 and len(err.encode()) < 1000
+        for bad_part in ("x", 0):
+            blob.write_text(json.dumps({"n": 3, "q": 3, "sigma": [bad_part] * 100_000}))
+            code, out, err = invoke(["alpha", "--spec", str(blob), "--k", "1"], capsys)
+            assert code == 1 and out == "" and err.startswith("error: sigma parts must be ")
+            assert err.count("\n") == 1 and len(err.encode()) < 1000
+
     def test_missing_k_is_invalid(self, capsys):
         code, _, err = invoke(["alpha", *SPEC], capsys)
         assert code == 1 and "error" in err
@@ -228,6 +241,18 @@ class TestVerifyCommand:
         blob.write_text('{"edges": [[{"class": 1, "rows": []}]], "unmatched": []}')
         code, _, err = invoke(["verify", "--spec", str(good_spec), "--matching", str(blob)], capsys)
         assert code == 1 and err == "error: edge part with empty row set\n"
+
+    def test_huge_malformed_matching_gives_a_short_error(self, capsys, tmp_path):
+        good_spec = tmp_path / "spec.json"
+        good_spec.write_text('{"n": 3, "q": 3, "sigma": [2, 1]}')
+        blob = tmp_path / "flat.json"
+        blob.write_text(json.dumps(list(range(1_000_000))))
+        code, out, err = invoke(
+            ["verify", "--spec", str(good_spec), "--matching", str(blob)], capsys
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: malformed matching object: [0, 1, 2, ")
+        assert err.count("\n") == 1 and len(err.encode()) < 1000
 
     def test_piped_emit_verifies_from_stdin(self):
         spec_args = ["--n", "3", "--q", "9", "--sigma", "4,3,2"]

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -13,6 +14,7 @@ from sigmahg.core import (
     Vertex,
     VertexSet,
     count_edges,
+    edge_shapes,
     enumerate_edges,
     frobenius_decompose,
     is_edge,
@@ -21,7 +23,28 @@ from sigmahg.core import (
     verify_matching,
 )
 
-from conftest import recheck_matching, small_specs
+from conftest import partitions, recheck_matching, small_specs
+
+
+def specs_up_to(max_vertices, max_r=6):
+    """Every spec with r <= max_r and n*q <= max_vertices."""
+    for r in range(1, max_r + 1):
+        for parts in partitions(r):
+            for n in range(1, max_vertices + 1):
+                for q in range(1, max_vertices // n + 1):
+                    yield make_spec(n, q, parts)
+
+
+def reference_edges(spec):
+    """The edge stream as literal nested loops: class combinations
+    ascending, distinct size assignments descending, row subsets ascending."""
+    if not spec.has_edges:
+        return
+    rows = range(1, spec.q + 1)
+    for classes in itertools.combinations(range(1, spec.n + 1), spec.sigma.s):
+        for sizes in sorted(set(itertools.permutations(spec.sigma.parts)), reverse=True):
+            for row_sets in itertools.product(*(itertools.combinations(rows, a) for a in sizes)):
+                yield Edge(tuple((c, frozenset(rs)) for c, rs in zip(classes, row_sets)))
 
 
 class TestMakeSpec:
@@ -113,6 +136,35 @@ class TestEnumerateEdges:
     def test_deterministic_order(self):
         spec = make_spec(3, 3, [2, 1])
         assert list(enumerate_edges(spec)) == list(enumerate_edges(spec))
+
+    def test_matches_nested_loop_reference(self):
+        for spec in specs_up_to(12):
+            assert list(enumerate_edges(spec)) == list(reference_edges(spec)), spec
+
+
+class TestEdgeShapes:
+    def test_counts(self):
+        for spec in specs_up_to(24):
+            shapes = list(edge_shapes(spec))
+            if not spec.has_edges:
+                assert shapes == [] and count_edges(spec) == 0, spec
+                continue
+            parts = spec.sigma.parts
+            mults = math.prod(math.factorial(parts.count(v)) for v in set(parts))
+            assert len(shapes) == math.perm(spec.n, spec.sigma.s) // mults, spec
+            assert len(set(shapes)) == len(shapes), spec
+            per_shape = math.prod(math.comb(spec.q, a) for a in parts)
+            assert len(shapes) * per_shape == count_edges(spec), spec
+
+    def test_order_is_the_edge_stream_order(self):
+        spec = make_spec(3, 2, [2, 1])
+        assert list(edge_shapes(spec)) == [
+            ((1, 2), (2, 1)), ((1, 2), (1, 2)),
+            ((1, 3), (2, 1)), ((1, 3), (1, 2)),
+            ((2, 3), (2, 1)), ((2, 3), (1, 2)),
+        ]
+        stream = [(e.classes(), tuple(len(rs) for _, rs in e.parts)) for e in enumerate_edges(spec)]
+        assert list(dict.fromkeys(stream)) == list(edge_shapes(spec))
 
 
 class TestFrobenius:
@@ -275,6 +327,19 @@ class TestJsonCodecs:
             core.spec_from_json({"n": 3})
         with pytest.raises(ValidationError):
             core.matching_from_json({"edges": [[{"class": 1}]], "unmatched": []})
+
+    def test_malformed_object_shown_up_to_a_cap(self):
+        short = {"n": "abc", "q": 3, "sigma": [2, 1]}
+        with pytest.raises(ValidationError) as exc:
+            core.spec_from_json(short)
+        assert str(exc.value) == f"malformed spec object: {short!r}"
+        long_edge = [{"class": 1}] * 1000
+        with pytest.raises(ValidationError) as exc:
+            core.edge_from_json(long_edge)
+        assert str(exc.value) == f"malformed edge object: {repr(long_edge)[:300]}..."
+        with pytest.raises(ValidationError) as exc:
+            core.matching_from_json(list(range(10_000)))
+        assert str(exc.value) == f"malformed matching object: {repr(list(range(10_000)))[:300]}..."
 
 
 class TestVertexSet:

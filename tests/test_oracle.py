@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 
 import pytest
 
@@ -6,9 +8,14 @@ from sigmahg import core
 from sigmahg.core import VertexSet, ValidationError, enumerate_edges, make_spec
 from sigmahg.independence import alpha_k, max_intersection_edge
 from sigmahg.oracle import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     OracleBudget,
     _bb_max_matching_edges,
+    _colouring_summary,
+    _monotone_profiles,
+    _profile_overlap_table,
+    _set_partitions,
     bf_alpha_k,
     bf_colouring_spectrum,
     bf_max_intersection,
@@ -34,6 +41,81 @@ def subset_alpha_k(spec, k):
                 best = size
                 break
     return best
+
+
+def desk_specs(max_vertices=24):
+    """Every spec with an edge, r 2..6, s >= 2, n, q <= 8, n*q <= max_vertices
+    and at most the default budget of n!/(n-s)! part placements (430 specs
+    for n*q <= 24)."""
+    return [
+        make_spec(n, q, parts)
+        for r in range(2, 7)
+        for parts in partitions(r)
+        if len(parts) >= 2
+        for n in range(len(parts), 9)
+        for q in range(parts[0], 9)
+        if n * q <= max_vertices and math.perm(n, len(parts)) <= DEFAULT_BUDGET.max_edges
+    ]
+
+
+def reference_profile_overlap_table(n, q, parts):
+    """The overlap table by trying all n!/(n-s)! placements, equal parts
+    in every order."""
+    placements = list(itertools.permutations(range(n), len(parts)))
+    table = []
+    for profile in _monotone_profiles(n, q):
+        # sum(min(a, profile[c]) for a, c in zip(parts, placement)), in C
+        worst = max(sum(map(min, parts, map(profile.__getitem__, pl))) for pl in placements)
+        table.append((sum(profile), worst))
+    return tuple(table)
+
+
+def reference_max_intersection(spec, b_sets):
+    """Maximum overlap of any edge with each of ``b_sets``, by draining
+    the stream of ``Edge`` objects once."""
+    best = [0] * len(b_sets)
+    for edge in enumerate_edges(spec):
+        vertices = frozenset(edge.vertices())
+        for i, b_set in enumerate(b_sets):
+            overlap = len(vertices & b_set.members)
+            if overlap > best[i]:
+                best[i] = overlap
+    return best
+
+
+def seeded_vertex_sets(spec, count=4):
+    """Random vertex sets of several densities, some cells off the grid."""
+    rng = random.Random(str(spec))
+    cells = [(c, row) for c in range(1, spec.n + 2) for row in range(1, spec.q + 2)]
+    sets = [VertexSet(), VertexSet.of(core.all_vertices(spec))]
+    for i in range(count):
+        density = (i + 1) / (count + 1)
+        sets.append(VertexSet.of(cell for cell in cells if rng.random() < density))
+    return sets
+
+
+@pytest.mark.parametrize("r", range(2, 7))
+def test_profile_overlap_table_matches_reference(r):
+    for spec in desk_specs():
+        if spec.r != r:
+            continue
+        n, q, parts = spec.n, spec.q, spec.sigma.parts
+        reference = reference_profile_overlap_table(n, q, parts)
+        assert _profile_overlap_table(n, q, parts, 60.0) == reference, spec
+        for k in range(1, r):
+            expected = max(total for total, worst in reference if worst <= k)
+            assert bf_alpha_k(spec, k) == expected, (spec, k)
+
+
+@pytest.mark.parametrize("r", range(2, 7))
+def test_max_intersection_matches_reference(r):
+    for spec in desk_specs():
+        if spec.r != r:
+            continue
+        b_sets = seeded_vertex_sets(spec)
+        assert [bf_max_intersection(spec, b) for b in b_sets] == reference_max_intersection(
+            spec, b_sets
+        ), spec
 
 
 class TestBfAlphaK:
@@ -141,7 +223,6 @@ class TestBfColouringSpectrum:
         with pytest.raises(BudgetExceeded):
             bf_colouring_spectrum(make_spec(3, 2, [2, 1]), 2, 2, tight)
 
-
     def test_partition_count_checked_before_allocation(self):
         # Bell(16) = 10,480,142,147 partitions; refused at once under the
         # default budget, which admits the vertex count
@@ -150,6 +231,26 @@ class TestBfColouringSpectrum:
         with pytest.raises(BudgetExceeded):
             bf_colouring_spectrum(make_spec(11, 1, [1, 1]), 1, 2)
         assert bf_colouring_spectrum(make_spec(5, 2, [1, 1]), 1, 2) is not None
+
+    def test_deadline_checked(self):
+        spec = make_spec(3, 3, [2, 1])
+        with pytest.raises(BudgetExceeded, match="time budget"):
+            bf_colouring_spectrum(spec, 1, 2, OracleBudget(time_limit=1e-9))
+
+    def test_summary_matches_edge_stream_reference(self):
+        np = pytest.importorskip("numpy")
+        for spec in desk_specs(max_vertices=8):
+            n, q, parts = spec.n, spec.q, spec.sigma.parts
+            rgs = _set_partitions(n * q)
+            lo = np.full(len(rgs), np.iinfo(np.int16).max, dtype=np.int16)
+            hi = np.zeros(len(rgs), dtype=np.int16)
+            for edge in enumerate_edges(spec):
+                idx = [(v.class_index - 1) * q + (v.row_index - 1) for v in edge.vertices()]
+                distinct = np.array([len(set(row)) for row in rgs[:, idx].tolist()])
+                np.minimum(lo, distinct, out=lo)
+                np.maximum(hi, distinct, out=hi)
+            _, got_lo, got_hi = _colouring_summary(n, q, parts, 60.0)
+            assert (got_lo == lo).all() and (got_hi == hi).all(), spec
 
 
 class TestBfMaxIntersection:
@@ -178,6 +279,15 @@ class TestBfMaxIntersection:
         tight = OracleBudget(max_vertices=32, max_edges=3, time_limit=60)
         with pytest.raises(BudgetExceeded):
             bf_max_intersection(make_spec(3, 2, [2, 1]), VertexSet(), tight)
+
+    def test_deadline_checked(self):
+        spec = make_spec(4, 3, [2, 1])
+        with pytest.raises(BudgetExceeded, match="time budget"):
+            bf_max_intersection(spec, VertexSet(), OracleBudget(time_limit=1e-9))
+
+    def test_no_edges_on_a_huge_grid(self):
+        spec = make_spec(10**9, 1, [2, 1])
+        assert bf_max_intersection(spec, VertexSet.of([(1, 1)])) == 0
 
 
 class TestDeterminism:
