@@ -71,7 +71,9 @@ def _load_spec(args: argparse.Namespace) -> core.HypergraphSpec:
     try:
         parts = [int(x) for x in args.sigma.split(",") if x.strip() != ""]
     except ValueError:
-        raise _UsageError(f"--sigma must be comma-separated integers, got {args.sigma!r}")
+        raise _UsageError(
+            f"--sigma must be comma-separated integers, got {core._brief(args.sigma)}"
+        )
     return core.make_spec(args.n, args.q, parts)
 
 
@@ -82,11 +84,11 @@ def _budget() -> OracleBudget:
         try:
             factor = float(raw)
         except ValueError:
-            raise _UsageError(f"{BUDGET_ENV} must be a number, got {raw!r}")
+            raise _UsageError(f"{BUDGET_ENV} must be a number, got {core._brief(raw)}")
         if factor <= 0:
             raise _UsageError(f"{BUDGET_ENV} must be positive")
         if not math.isfinite(factor):
-            raise _UsageError(f"{BUDGET_ENV} must be finite, got {raw!r}")
+            raise _UsageError(f"{BUDGET_ENV} must be finite, got {core._brief(raw)}")
     return OracleBudget(
         max_vertices=max(1, int(32 * factor)),
         max_edges=max(1, int(200_000 * factor)),
@@ -250,7 +252,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             counts = [int(x) for x in args.profile.split(",") if x.strip() != ""]
         except ValueError:
             raise _UsageError(
-                f"--profile must be comma-separated integers, got {args.profile!r}"
+                f"--profile must be comma-separated integers, got {core._brief(args.profile)}"
             )
         b_set = core.VertexSet.from_profile(spec, counts)
         payload["profile"] = counts

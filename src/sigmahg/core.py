@@ -15,7 +15,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -211,20 +211,88 @@ class VertexSet:
         return iter(sorted(self.members))
 
 
-@dataclass(frozen=True)
 class Matching:
-    """A set of edges plus the residual unmatched vertices.
+    """A set of edges plus the residual unmatched vertices, in one of two forms.
+
+    Row-set form, ``Matching(edges, unmatched)``: any Edge objects and any
+    vertex set, kept as given (decoded or tampered input).
+
+    Interval form, :meth:`from_intervals`, the form every construction
+    emits: part i of edge e has size ``parts[i]`` (sigma's order) and takes
+    the consecutive rows ``rows[k] .. rows[k] + parts[i] - 1`` of class
+    ``classes[k]``, k = e*s + i; ``runs`` lists the unmatched vertices as
+    (class, first row, count) runs.  ``edges`` and ``unmatched`` are built
+    from the intervals on first read.
 
     The container does not enforce validity; :func:`verify_matching`
     reports violations so that tampered inputs can be diagnosed.
     """
 
-    edges: tuple[Edge, ...]
-    unmatched: VertexSet
+    __slots__ = ("parts", "classes", "rows", "runs", "_edges", "_unmatched")
+
+    def __init__(self, edges: Iterable[Edge], unmatched: VertexSet) -> None:
+        self.parts = self.classes = self.rows = self.runs = None
+        self._edges = tuple(edges)
+        self._unmatched = unmatched
+
+    @classmethod
+    def from_intervals(
+        cls,
+        parts: tuple[int, ...],
+        classes: Iterable[int],
+        rows: Iterable[int],
+        runs: Iterable[tuple[int, int, int]] = (),
+    ) -> "Matching":
+        """An interval-form matching; the lists are copied into tuples."""
+        m = cls.__new__(cls)
+        m.parts, m.classes, m.rows, m.runs = parts, tuple(classes), tuple(rows), tuple(runs)
+        if len(m.classes) != len(m.rows) or len(m.classes) % len(parts):
+            raise ValidationError("interval lists do not hold whole edges")
+        m._edges = m._unmatched = None
+        return m
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        if self._edges is None:
+            self._edges = interval_edges(self.parts, self.classes, self.rows)
+        return self._edges
+
+    @property
+    def unmatched(self) -> VertexSet:
+        if self._unmatched is None:
+            self._unmatched = VertexSet.of(
+                (c, row) for c, lo, count in self.runs for row in range(lo, lo + count)
+            )
+        return self._unmatched
 
     @property
     def size(self) -> int:
-        return len(self.edges)
+        if self.classes is None:
+            return len(self._edges)
+        return len(self.classes) // len(self.parts)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Matching):
+            return NotImplemented
+        return self.edges == other.edges and self.unmatched == other.unmatched
+
+    def __hash__(self) -> int:
+        return hash((self.edges, self.unmatched))
+
+    def __repr__(self) -> str:
+        return f"Matching(edges={self.edges!r}, unmatched={self.unmatched!r})"
+
+
+def interval_edges(
+    parts: tuple[int, ...], classes: Iterable[int], rows: Iterable[int]
+) -> tuple[Edge, ...]:
+    """The Edge objects of flat interval lists (see :class:`Matching`)."""
+    s = len(parts)
+    cells = [
+        (c, frozenset(range(row, row + a)))
+        for c, row, a in zip(classes, rows, itertools.cycle(parts))
+    ]
+    return tuple(Edge(tuple(cells[k : k + s])) for k in range(0, len(cells), s))
 
 
 def all_vertices(spec: HypergraphSpec) -> Iterator[Vertex]:
@@ -352,16 +420,49 @@ class VerificationReport:
         return not self.violations
 
 
+def _intervals_valid(spec: HypergraphSpec, m: Matching) -> bool:
+    """True iff interval-form matching m passes every check of
+    :func:`verify_matching`, shown without a per-cell list: every part and
+    unmatched run lies on the grid, no edge repeats a class, and, with the
+    classes laid end to end (cell (c, row) at c*q + row), the parts and
+    runs tile the n*q cells: sorted, each ends where the next starts.
+    False on anything else, including shapes the checks would pass but that
+    this test does not recognise."""
+    n, q, s = spec.n, spec.q, spec.sigma.s
+    if m.parts != spec.sigma.parts:
+        return False
+    classes = m.classes + tuple(c for c, _, _ in m.runs)
+    rows = m.rows + tuple(row for _, row, _ in m.runs)
+    lengths = m.parts * (len(m.classes) // s) + tuple(count for _, _, count in m.runs)
+    if not classes or min(classes) < 1 or max(classes) > n:
+        return False
+    if min(rows) < 1 or min(lengths) < 1 or max(map(add, rows, lengths)) > q + 1:
+        return False
+    columns = (m.classes[i::s] for i in range(s))
+    if s > 1 and not set(map(len, map(set, zip(*columns)))) <= {s}:
+        return False
+    if sum(lengths) != n * q:
+        return False
+    starts = list(map(add, map(q.__mul__, classes), rows))
+    ends = sorted(map(add, starts, lengths))
+    starts.sort()
+    return starts[1:] == ends[:-1]
+
+
 def verify_matching(spec: HypergraphSpec, m: Matching) -> VerificationReport:
     """Check a matching against the spec; violations are report content,
-    never exceptions.  A grid too large to index in memory is refused with
-    a ValidationError.
+    never exceptions.
 
-    Grid cell (c, row) has id (c-1)*q + (row-1); ``owner`` holds, per id,
+    An interval-form matching that passes :func:`_intervals_valid` is valid
+    without further work.  Any other matching is checked cell by cell:
+    grid cell (c, row) has id (c-1)*q + (row-1); ``owner`` holds, per id,
     the first edge covering it (-1 if none), and edge cells off the grid
     keep their first edge in a side table, so overlaps there are reported
-    too.
+    too.  That check refuses a grid too large to index in memory with a
+    ValidationError.
     """
+    if m.classes is not None and _intervals_valid(spec, m):
+        return VerificationReport(())
     n, q, parts = spec.n, spec.q, spec.sigma.parts
     violations: list[Violation] = []
     try:
@@ -478,12 +579,22 @@ def edge_from_json(obj: list) -> Edge:
 
 
 def matching_to_json(m: Matching) -> dict:
-    return {
-        "edges": [edge_to_json(e) for e in m.edges],
-        "unmatched": [
-            {"class": v.class_index, "row": v.row_index} for v in sorted(m.unmatched.members)
-        ],
-    }
+    """The canonical object; an interval-form matching is encoded from its
+    intervals, each edge's parts in the order Edge keeps them."""
+    if m.classes is None:
+        edges = [edge_to_json(e) for e in m.edges]
+        unmatched = sorted(m.unmatched.members)
+    else:
+        s = len(m.parts)
+        edges = [
+            [
+                {"class": c, "rows": list(range(row, row + a))}
+                for c, row, a in sorted(zip(m.classes[k : k + s], m.rows[k : k + s], m.parts))
+            ]
+            for k in range(0, len(m.classes), s)
+        ]
+        unmatched = sorted({(c, row) for c, lo, count in m.runs for row in range(lo, lo + count)})
+    return {"edges": edges, "unmatched": [{"class": c, "row": row} for c, row in unmatched]}
 
 
 def matching_from_json(obj: dict) -> Matching:

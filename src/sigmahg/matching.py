@@ -10,25 +10,28 @@ re-check the output with :func:`sigmahg.core.verify_matching`.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .core import (
-    Edge,
     HypergraphSpec,
     Matching,
     NoRepresentation,
     Sigma,
     SigmaHypergraphError,
     ValidationError,
-    Vertex,
-    VertexSet,
     frobenius_decompose,
     make_spec,
     verify_matching,
 )
+
+
+# flat interval lists (classes, first rows) of whole edges, each edge's
+# parts in one fixed order; see :class:`sigmahg.core.Matching`
+Intervals = tuple[list[int], list[int]]
 
 
 class RegimeError(SigmaHypergraphError):
@@ -79,29 +82,29 @@ class MatchingReport:
     ) -> MatchingReport:
         """Report on matching m of spec; every vertex no edge covers counts
         as unmatched."""
-        nu = len(m.edges)
+        nu = m.size
         return cls(m, nu, spec.num_vertices - spec.r * nu, strategy, certificates, proven)
 
 
 class DiagonalPart(NamedTuple):
     """One part that an exchange frees from a square-block fragment."""
 
-    edge_pos: int  # index into the fragment's edge list
-    class_index: int
-    rows: frozenset[int]
+    edge_pos: int  # index into the fragment's edges
     symbol: int  # 0-based part index; the part size is sigma.parts[symbol]
 
 
 @dataclass(frozen=True)
 class DlsFragment:
-    """Edges perfectly covering an r x s subgrid, plus the parts an exchange
-    may free from them, at most one per symbol.
+    """Edges perfectly covering an r x s subgrid, as flat interval lists
+    (see :class:`sigmahg.core.Matching`), plus the parts an exchange may
+    free from them, at most one per symbol.
 
     A diagonal-Latin-square block (s >= 3) frees its s main-diagonal parts,
     one of every symbol; a two-part pair block frees one part of symbol 1.
     """
 
-    edges: tuple[Edge, ...]
+    classes: tuple[int, ...]
+    rows: tuple[int, ...]
     diagonal: tuple[DiagonalPart, ...]
 
 
@@ -130,21 +133,23 @@ def canonicalize(spec: HypergraphSpec, m: Matching) -> Matching:
     check = verify_matching(spec, m)
     if not check.ok:
         raise ValidationError(f"input matching invalid: {check.violations[0].message}")
-    next_row = {}
-    unmatched = []
-    for c in range(1, spec.n + 1):
-        u = sum(1 for v in m.unmatched.members if v.class_index == c)
-        unmatched.extend(Vertex(c, row) for row in range(1, u + 1))
-        next_row[c] = u + 1
-    new_edges = []
-    for edge in m.edges:
-        parts = []
-        for c, rows in edge.parts:
-            size = len(rows)
-            parts.append((c, frozenset(range(next_row[c], next_row[c] + size))))
-            next_row[c] += size
-        new_edges.append(Edge(tuple(parts)))
-    return Matching(tuple(new_edges), VertexSet(frozenset(unmatched)))
+    parts = spec.sigma.parts
+    if m.classes is None:
+        # a valid edge's part sizes are sigma's, so size order is sigma order
+        classes = [c for e in m.edges for c, _ in sorted(e.parts, key=lambda p: -len(p[1]))]
+    else:
+        classes = m.classes
+    sizes = parts * (len(classes) // len(parts))
+    free = [spec.q] * (spec.n + 1)  # per class; every row no part covers is unmatched
+    for c, a in zip(classes, sizes):
+        free[c] -= a
+    next_row = [u + 1 for u in free]
+    rows = []
+    for c, a in zip(classes, sizes):
+        rows.append(next_row[c])
+        next_row[c] += a
+    runs = [(c, 1, free[c]) for c in range(1, spec.n + 1) if free[c]]
+    return Matching.from_intervals(parts, classes, rows, runs)
 
 
 def gcd_unmatched_lower_bound(spec: HypergraphSpec) -> int:
@@ -181,31 +186,24 @@ def expand(spec: HypergraphSpec, contracted_matching: Matching) -> Matching:
     """Lift a matching of the contracted hypergraph back to the original.
 
     Contracted vertex (class i, row j) becomes the d consecutive original
-    rows [t + (j-1)d + 1 .. t + jd] of class i, where t = q mod d; the top
-    t rows of every class join the unmatched set.
+    rows [t + (j-1)d + 1 .. t + jd] of class i, where t = q mod d, so an
+    interval maps to an interval; the top t rows of every class join the
+    unmatched set.  A row-set input is canonicalised first.
     """
     contracted, t = contract(spec)
-    check = verify_matching(contracted, contracted_matching)
+    m = contracted_matching
+    check = verify_matching(contracted, m)
     if not check.ok:
         raise ValidationError(
             f"matching invalid for {contracted}: {check.violations[0].message}"
         )
+    if m.classes is None:
+        m = canonicalize(contracted, m)
     d = spec.sigma.d
-
-    def expand_rows(rows: frozenset[int]) -> frozenset[int]:
-        out = set()
-        for j in rows:
-            out.update(range(t + (j - 1) * d + 1, t + j * d + 1))
-        return frozenset(out)
-
-    edges = tuple(
-        Edge(tuple((c, expand_rows(rows)) for c, rows in e.parts))
-        for e in contracted_matching.edges
-    )
-    unmatched = {Vertex(c, row) for c in range(1, spec.n + 1) for row in range(1, t + 1)}
-    for v in contracted_matching.unmatched.members:
-        unmatched.update(Vertex(v.class_index, row) for row in expand_rows(frozenset({v.row_index})))
-    return Matching(edges, VertexSet(frozenset(unmatched)))
+    runs = [(c, 1, t) for c in range(1, spec.n + 1) if t]
+    runs += [(c, t + (j - 1) * d + 1, count * d) for c, j, count in m.runs]
+    rows = [t + (j - 1) * d + 1 for j in m.rows]
+    return Matching.from_intervals(spec.sigma.parts, m.classes, rows, runs)
 
 
 # ---------------------------------------------------------------------------
@@ -213,36 +211,22 @@ def expand(spec: HypergraphSpec, contracted_matching: Matching) -> Matching:
 # ---------------------------------------------------------------------------
 
 
-def _band_parts(
-    sizes: tuple[int, ...], classes: list[int], row0: int
-) -> list[tuple[tuple[int, frozenset[int]], ...]]:
-    """One shifted copy of ``sizes`` per class of the band.
+def _band(
+    out: Intervals, sizes: tuple[int, ...], classes: list[int], row0: int
+) -> None:
+    """Append one shifted copy of ``sizes`` per class of the band to
+    ``out``, each edge's parts in sizes' order.
 
     The band spans rows row0+1 .. row0+sum(sizes) over the given classes;
     column j contributes part i at class (j+i) mod width, each part using
     its fixed row block, so the band is covered exactly.
     """
-    width = len(classes)
-    if width < len(sizes):
-        raise ValidationError(f"band of width {width} cannot host {len(sizes)} parts")
-    offsets = [0]
-    for a in sizes:
-        offsets.append(offsets[-1] + a)
-    result = []
-    for j in range(width):
-        parts = tuple(
-            (
-                classes[(j + i) % width],
-                frozenset(range(row0 + offsets[i] + 1, row0 + offsets[i + 1] + 1)),
-            )
-            for i in range(len(sizes))
-        )
-        result.append(parts)
-    return result
-
-
-def _band_edges(sizes: tuple[int, ...], classes: list[int], row0: int) -> list[Edge]:
-    return [Edge(p) for p in _band_parts(sizes, classes, row0)]
+    width, s = len(classes), len(sizes)
+    if width < s:
+        raise ValidationError(f"band of width {width} cannot host {s} parts")
+    wrapped = classes + classes[: s - 1]
+    out[0].extend([c for j in range(width) for c in wrapped[j : j + s]])
+    out[1].extend(list(itertools.accumulate(sizes[:-1], initial=row0 + 1)) * width)
 
 
 def diagonal_perfect_matching(spec: HypergraphSpec) -> Matching:
@@ -254,10 +238,10 @@ def diagonal_perfect_matching(spec: HypergraphSpec) -> Matching:
     if spec.n < s:
         raise RegimeError(f"need n >= s, got n={spec.n}, s={s}")
     classes = list(range(1, spec.n + 1))
-    edges: list[Edge] = []
+    out: Intervals = ([], [])
     for strip in range(spec.q // r):
-        edges.extend(_band_edges(spec.sigma.parts, classes, strip * r))
-    return Matching(tuple(edges), VertexSet())
+        _band(out, spec.sigma.parts, classes, strip * r)
+    return Matching.from_intervals(spec.sigma.parts, *out)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +254,7 @@ def all_ones_maximum_matching(spec: HypergraphSpec) -> MatchingReport:
     vertices unmatched.
 
     Layout: full bands of height r are the shifted bands of
-    :func:`_band_edges`; the bottom residual strip is matched row by row
+    :func:`_band`; the bottom residual strip is matched row by row
     over width-r blocks, leaving a corner of g x t cells (g = n mod r,
     t = q mod r), at most (r-1)^2.  Corner cells are then absorbed r at a
     time by an exchange: the k-th corner cell replaces the row-1 part of
@@ -289,27 +273,29 @@ def all_ones_maximum_matching(spec: HypergraphSpec) -> MatchingReport:
 
     classes = list(range(1, n + 1))
     bands = q // r
-    edges: list[Edge] = []
+    cls, rows = out = ([], [])
     for band in range(bands):
-        edges.extend(_band_edges(sigma.parts, classes, band * r))
+        _band(out, sigma.parts, classes, band * r)
 
     full_width = n // r
     strip = range(bands * r + 1, q + 1)
     for blk in range(full_width):
         for row in strip:
-            edges.append(Edge(tuple((blk * r + j, frozenset({row})) for j in range(1, r + 1))))
+            cls.extend(range(blk * r + 1, blk * r + r + 1))
+            rows.extend([row] * r)
 
-    corner = [Vertex(c, row) for row in strip for c in range(full_width * r + 1, n + 1)]
+    corner = [(c, row) for row in strip for c in range(full_width * r + 1, n + 1)]
     used = len(corner) // r * r
-    # first-band edge k (no wrap-around, k < (r-1)^2) has its row-1 part first
-    freed = [edges[k].parts[0] for k in range(used)]
-    for k, v in enumerate(corner[:used]):
-        edges[k] = Edge(edges[k].parts[1:] + ((v.class_index, frozenset({v.row_index})),))
-    edges.extend(Edge(tuple(freed[i : i + r])) for i in range(0, used, r))
+    # first-band edge k (no wrap-around, k < (r-1)^2) has its row-1 part
+    # first: it joins the new edges and corner cell k takes its place
+    cls.extend(cls[: used * r : r])
+    rows.extend(rows[: used * r : r])
+    for k, (c, row) in enumerate(corner[:used]):
+        cls[k * r], rows[k * r] = c, row
 
     return MatchingReport.of(
         spec,
-        Matching(tuple(edges), VertexSet(frozenset(corner[used:]))),
+        Matching.from_intervals(sigma.parts, *out, [(c, row, 1) for c, row in corner[used:]]),
         "all-ones",
         certificates=(
             ("nu_upper", (n * q) // r),
@@ -464,36 +450,15 @@ def dls_matching(
             f"{spec.q}x{spec.n} grid"
         )
     square = generate_dls(s)
-    # blocks[i][sym] = row set of the block carrying `sym` in column i
-    blocks: list[dict[int, frozenset[int]]] = []
+    classes, rows = [0] * (s * s), [0] * (s * s)
     for i in range(s):
-        column = {}
-        row = row_offset
-        for k in range(s):
-            sym = square.cells[k][i]
-            size = sigma.parts[sym]
-            column[sym] = frozenset(range(row + 1, row + size + 1))
-            row += size
-        blocks.append(column)
-    edges = tuple(
-        Edge(
-            tuple(
-                (class_offset + i + 1, blocks[i][square.cells[j][i]])
-                for i in range(s)
-            )
-        )
-        for j in range(s)
-    )
-    diagonal = tuple(
-        DiagonalPart(
-            edge_pos=i,
-            class_index=class_offset + i + 1,
-            rows=blocks[i][square.cells[i][i]],
-            symbol=square.cells[i][i],
-        )
-        for i in range(s)
-    )
-    return DlsFragment(edges, diagonal)
+        row = row_offset + 1
+        for j in range(s):  # block j of column i carries symbol D[j][i]
+            sym = square.cells[j][i]
+            classes[j * s + sym], rows[j * s + sym] = class_offset + i + 1, row
+            row += sigma.parts[sym]
+    diagonal = tuple(DiagonalPart(i, square.cells[i][i]) for i in range(s))
+    return DlsFragment(tuple(classes), tuple(rows), diagonal)
 
 
 def _pair_fragment(spec: HypergraphSpec, row_offset: int, class_offset: int) -> DlsFragment:
@@ -503,18 +468,11 @@ def _pair_fragment(spec: HypergraphSpec, row_offset: int, class_offset: int) -> 
     top block (symbol 1) is the part an exchange frees."""
     a1, r = spec.sigma.parts[0], spec.r
     col1, col2 = class_offset + 1, class_offset + 2
-    cut1, cut2 = row_offset + a1, row_offset + r - a1
-    top2 = frozenset(range(row_offset + 1, cut2 + 1))
-    edges = (
-        Edge(((col1, frozenset(range(row_offset + 1, cut1 + 1))), (col2, top2))),
-        Edge(
-            (
-                (col1, frozenset(range(cut1 + 1, row_offset + r + 1))),
-                (col2, frozenset(range(cut2 + 1, row_offset + r + 1))),
-            )
-        ),
+    return DlsFragment(
+        (col1, col2, col2, col1),
+        (row_offset + 1, row_offset + 1, row_offset + r - a1 + 1, row_offset + a1 + 1),
+        (DiagonalPart(0, 1),),
     )
-    return DlsFragment(edges, (DiagonalPart(0, col2, top2, 1),))
 
 
 def packing_matching(
@@ -522,8 +480,9 @@ def packing_matching(
     split: RGoodSplit,
     row_offset: int,
     class_offset: int,
-) -> tuple[Edge, ...]:
-    """L edges perfectly covering the L x r subgrid at the 0-based offsets.
+) -> Intervals:
+    """L edges perfectly covering the L x r subgrid at the 0-based offsets,
+    each edge's parts in sigma's order.
 
     The left L x a half is tiled with L/a square bands packed with the A
     parts, the right L x b half with L/b bands of the B parts; the i-th
@@ -542,13 +501,23 @@ def packing_matching(
     sigma_b = tuple(spec.sigma.parts[i - 1] for i in split.set_b)
     left = [class_offset + 1 + j for j in range(a)]
     right = [class_offset + a + 1 + j for j in range(b)]
-    halves_a: list[tuple] = []
-    halves_b: list[tuple] = []
+    halves_a: Intervals = ([], [])
+    halves_b: Intervals = ([], [])
     for blk in range(L // a):
-        halves_a.extend(_band_parts(sigma_a, left, row_offset + blk * a))
+        _band(halves_a, sigma_a, left, row_offset + blk * a)
     for blk in range(L // b):
-        halves_b.extend(_band_parts(sigma_b, right, row_offset + blk * b))
-    return tuple(Edge(pa + pb) for pa, pb in zip(halves_a, halves_b))
+        _band(halves_b, sigma_b, right, row_offset + blk * b)
+    # an edge's A half then B half hold part indices set_a + set_b; put
+    # them in sigma's order
+    joined = split.set_a + split.set_b
+    order = sorted(range(len(joined)), key=joined.__getitem__)
+    sa, sb = len(sigma_a), len(sigma_b)
+    out: Intervals = ([], [])
+    for flat, half_a, half_b in zip(out, halves_a, halves_b):
+        for k in range(L):
+            edge = half_a[k * sa : (k + 1) * sa] + half_b[k * sb : (k + 1) * sb]
+            flat.extend([edge[j] for j in order])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -557,23 +526,28 @@ def packing_matching(
 
 
 def _perfect_width_bands(
-    spec: HypergraphSpec, split: RGoodSplit, height: int, row0: int, num_classes: int
-) -> list[Edge]:
+    out: Intervals,
+    spec: HypergraphSpec,
+    split: RGoodSplit,
+    height: int,
+    row0: int,
+    num_classes: int,
+) -> None:
     """Cover rows row0+1..row0+height over classes 1..num_classes (r | width)
-    by height = x*L + y*r: x packed L-bands then y shifted r-bands."""
+    by height = x*L + y*r: x packed L-bands then y shifted r-bands, appended
+    to ``out``."""
     r = spec.r
     x, y = frobenius_decompose(height, split.L, r)
-    edges: list[Edge] = []
     row = row0
     for _ in range(x):
         for grid in range(num_classes // r):
-            edges.extend(packing_matching(spec, split, row, grid * r))
+            for flat, block in zip(out, packing_matching(spec, split, row, grid * r)):
+                flat.extend(block)
         row += split.L
     band_classes = list(range(1, num_classes + 1))
     for _ in range(y):
-        edges.extend(_band_edges(spec.sigma.parts, band_classes, row))
+        _band(out, spec.sigma.parts, band_classes, row)
         row += r
-    return edges
 
 
 def r_good_maximum_matching(
@@ -618,7 +592,9 @@ def r_good_maximum_matching(
         )
 
     def build_1b() -> MatchingReport:
-        m = Matching(tuple(_perfect_width_bands(spec, split, q, 0, n)), VertexSet())
+        out: Intervals = ([], [])
+        _perfect_width_bands(out, spec, split, q, 0, n)
+        m = Matching.from_intervals(sigma.parts, *out)
         return MatchingReport.of(spec, m, "rgood-1b", (("nu_upper", n * q // r),))
 
     def build_residue(exchange: bool) -> MatchingReport:
@@ -626,26 +602,27 @@ def r_good_maximum_matching(
         q1 = q - full * r
         t_cl, b = divmod(n, r)
         f = (n - r) // s if exchange else 0
-        block = dls_matching if s >= 3 else _pair_fragment
-        edges: list[Edge] = []
-        # consumable exchange blocks, in order: (id of first edge, block)
-        fragments: list[tuple[int, DlsFragment]] = []
+        cls, rows = out = ([], [])
+        # the first edge of each consumable exchange block, in order
+        fragments: list[int] = []
         all_classes = list(range(1, n + 1))
+        block = None
+        if f and full:  # one block at the origin, shifted to every place it is laid
+            block = (dls_matching if s >= 3 else _pair_fragment)(spec, 0, 0)
 
         for strip in range(full):
             row0 = strip * r
             for blk in range(f):
-                frag = block(spec, row0, blk * s)
-                fragments.append((len(edges), frag))
-                edges.extend(frag.edges)
-            edges.extend(_band_edges(sigma.parts, all_classes[f * s :], row0))
+                fragments.append(len(cls) // s)
+                cls.extend([c + blk * s for c in block.classes])
+                rows.extend([row + row0 for row in block.rows])
+            _band(out, sigma.parts, all_classes[f * s :], row0)
 
         if t_cl >= 1 and q1 > 0:
-            edges.extend(_perfect_width_bands(spec, split, q1, full * r, t_cl * r))
+            _perfect_width_bands(out, spec, split, q1, full * r, t_cl * r)
 
-        corner_classes = list(range(t_cl * r + 1, n + 1))
-        corner_row0 = full * r
-        unmatched: set[Vertex] = set()
+        corner_classes = range(t_cl * r + 1, n + 1)
+        top = full * r  # corner classes are matched down to this row
         bookkeeping: list[tuple[str, int]] = [
             ("q1", q1),
             ("t", t_cl),
@@ -659,38 +636,23 @@ def r_good_maximum_matching(
                     f"corner absorption needs {need} exchange blocks, "
                     f"only {len(fragments)} available"
                 )
-            offsets = [0]
-            for a_i in sigma.parts:
-                offsets.append(offsets[-1] + a_i)
+            firsts = list(itertools.accumulate(sigma.parts[:-1], initial=1))
             exchanges = iter(fragments)
             for c in corner_classes:
                 for grp in range(p):
                     # cut c's r rows into one block per symbol; each freed
                     # part's edge takes c's block of the same symbol, and the
                     # freed parts with c's other blocks form one new edge
-                    grp_row0 = corner_row0 + grp * r
-                    c_blocks = [
-                        (c, frozenset(range(grp_row0 + lo + 1, grp_row0 + hi + 1)))
-                        for lo, hi in zip(offsets, offsets[1:])
-                    ]
-                    first, frag = next(exchanges)
-                    for dp in frag.diagonal:
-                        eidx = first + dp.edge_pos
-                        edges[eidx] = Edge(
-                            tuple(pt for pt in edges[eidx].parts if pt[0] != dp.class_index)
-                            + (c_blocks[dp.symbol],)
-                        )
-                    freed = {dp.symbol for dp in frag.diagonal}
-                    edges.append(
-                        Edge(
-                            tuple((dp.class_index, dp.rows) for dp in frag.diagonal)
-                            + tuple(blk for k, blk in enumerate(c_blocks) if k not in freed)
-                        )
-                    )
-            for c in corner_classes:
-                unmatched.update(
-                    Vertex(c, row) for row in range(corner_row0 + p * r + 1, q + 1)
-                )
+                    new_cls = [c] * s
+                    new_rows = [top + grp * r + row for row in firsts]
+                    first = next(exchanges)
+                    for dp in block.diagonal:
+                        k = (first + dp.edge_pos) * s + dp.symbol
+                        new_cls[dp.symbol], cls[k] = cls[k], c
+                        new_rows[dp.symbol], rows[k] = rows[k], new_rows[dp.symbol]
+                    cls.extend(new_cls)
+                    rows.extend(new_rows)
+            top += p * r
             bookkeeping += [("p", p), ("z", z), ("f", f), ("h", n - f * s)]
             strategy = "rgood-3" if s >= 3 else "rgood-3-two-part"
             bound = (r - 1) ** 2
@@ -699,14 +661,11 @@ def r_good_maximum_matching(
                 ("regime3_q_min_alt", L * (r - 1) ** 2),
             ]
         else:
-            for c in corner_classes:
-                unmatched.update(
-                    Vertex(c, row) for row in range(corner_row0 + 1, q + 1)
-                )
             strategy = "rgood-2"
             bound = L * (r - 1) ** 2
 
-        m = Matching(tuple(edges), VertexSet(frozenset(unmatched)))
+        runs = [(c, top + 1, q - top) for c in corner_classes if q > top]
+        m = Matching.from_intervals(sigma.parts, cls, rows, runs)
         report = MatchingReport.of(
             spec,
             m,
@@ -802,17 +761,17 @@ def greedy_matching(spec: HypergraphSpec) -> Matching:
 def _place_greedy(spec: HypergraphSpec, choices: list[tuple[int, ...]]) -> Matching:
     parts = spec.sigma.parts
     next_row = [1] * (spec.n + 1)  # per class, the lowest free row
-    edges: list[Edge] = []
+    rows = []
     for classes in choices:
-        eparts = []
         for c, a in zip(classes, parts):
-            eparts.append((c, frozenset(range(next_row[c], next_row[c] + a))))
+            rows.append(next_row[c])
             next_row[c] += a
-        edges.append(Edge(tuple(eparts)))
-    unmatched = frozenset(
-        Vertex(c, row) for c in range(1, spec.n + 1) for row in range(next_row[c], spec.q + 1)
-    )
-    return Matching(tuple(edges), VertexSet(unmatched))
+    runs = [
+        (c, next_row[c], spec.q + 1 - next_row[c])
+        for c in range(1, spec.n + 1)
+        if next_row[c] <= spec.q
+    ]
+    return Matching.from_intervals(parts, itertools.chain.from_iterable(choices), rows, runs)
 
 
 def best_matching(spec: HypergraphSpec) -> MatchingReport:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -108,7 +109,7 @@ def bf_alpha_k(
     Classes are interchangeable, so the best k-independent set may be
     assumed to take the top b_i rows of class i with b monotone; every
     distinct placement of the parts is checked against every profile.  The
-    number of placements counting equal parts apart, n!/(n-s)!, is checked
+    number of distinct placements, n!/(n-s)!/prod(mult(v)!), is checked
     against ``budget.max_edges`` before any is built.
     """
     if not 1 <= k <= spec.r - 1:
@@ -117,9 +118,11 @@ def bf_alpha_k(
         return spec.num_vertices
     _check_vertices(spec, budget, "bf_alpha_k")
     placements = math.perm(spec.n, spec.sigma.s)
+    for mult in Counter(spec.sigma.parts).values():
+        placements //= math.factorial(mult)
     if placements > budget.max_edges:
         raise BudgetExceeded(
-            f"bf_alpha_k: {placements} part placements exceeds budget {budget.max_edges}"
+            f"bf_alpha_k: {placements} distinct part placements exceeds budget {budget.max_edges}"
         )
     table = _profile_overlap_table(spec.n, spec.q, spec.sigma.parts, budget.time_limit)
     return max(total for total, worst in table if worst <= k)

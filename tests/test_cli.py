@@ -346,8 +346,24 @@ class TestOracleCommand:
             assert code == 1 and out == "", raw
             assert err == f"error: SIGMA_HYPER_BUDGET must be finite, got {raw!r}\n"
 
+    def test_huge_malformed_arguments_give_a_short_error(self, capsys, monkeypatch):
+        junk = ",".join(["x"] * 30_000)  # 60 kB
+        spec_args = ["--n", "3", "--q", "2", "--sigma", "2,1"]
+        for argv in (
+            ["match", "--n", "3", "--q", "3", "--sigma", junk],
+            ["oracle", "intersection", *spec_args, "--profile", junk],
+        ):
+            code, out, err = invoke(argv, capsys)
+            assert code == 1 and out == "" and err.startswith("error: ")
+            assert err.count("\n") == 1 and len(err.encode()) < 1000
+        monkeypatch.setenv("SIGMA_HYPER_BUDGET", junk)
+        code, out, err = invoke(["oracle", "match", *spec_args], capsys)
+        assert code == 1 and out == "" and err.startswith("error: SIGMA_HYPER_BUDGET ")
+        assert err.count("\n") == 1 and len(err.encode()) < 1000
+
     def test_budget_exit_code(self, capsys, monkeypatch):
-        # 32!/16! placements of sixteen parts are refused before any is built
+        # C(32, 16) distinct placements of sixteen equal parts are refused
+        # before any is built
         ones = ",".join(["1"] * 16)
         code, _, err = invoke(
             ["oracle", "alpha", "--n", "32", "--q", "1", "--sigma", ones, "--k", "1"], capsys

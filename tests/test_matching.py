@@ -1,5 +1,7 @@
 import itertools
 import math
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -10,6 +12,7 @@ from sigmahg.core import (
     Matching,
     ValidationError,
     VertexSet,
+    interval_edges,
     make_edge,
     make_spec,
     verify_matching,
@@ -157,6 +160,10 @@ def assert_dls_valid(square):
     assert {square.cells[i][i] for i in range(order)} == symbols
 
 
+def fragment_edges(spec, frag):
+    return interval_edges(spec.sigma.parts, frag.classes, frag.rows)
+
+
 def assert_fragment_covers(spec, edges, rows, classes):
     covered = set()
     for e in edges:
@@ -211,6 +218,22 @@ class TestCanonicalize:
         bad = Matching((make_edge([(1, {1, 2, 3})]),), VertexSet())
         with pytest.raises(ValidationError):
             canonicalize(spec, bad)
+
+    def test_wide_grid_counts_unmatched_in_one_pass(self):
+        # 5000 classes of 40 rows, all unmatched: a scan of the unmatched
+        # set per class would take minutes
+        code = (
+            "from sigmahg import core, matching\n"
+            "spec = core.make_spec(5000, 40, [2, 1])\n"
+            "empty = core.Matching((), core.VertexSet.of(core.all_vertices(spec)))\n"
+            "canon = matching.canonicalize(spec, empty)\n"
+            "print(canon.size, len(canon.unmatched))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "200000"]
 
 
 class TestDiagonalPerfect:
@@ -463,18 +486,23 @@ class TestDlsMatching:
     def test_three_part_block(self):
         spec = make_spec(3, 9, [4, 3, 2])
         frag = dls_matching(spec, 0, 0)
-        assert len(frag.edges) == 3
-        assert_fragment_covers(spec, frag.edges, range(1, 10), range(1, 4))
+        edges = fragment_edges(spec, frag)
+        assert len(edges) == 3
+        assert_fragment_covers(spec, edges, range(1, 10), range(1, 4))
         # one diagonal part per edge, all sizes represented
         assert sorted(dp.edge_pos for dp in frag.diagonal) == [0, 1, 2]
-        sizes = sorted(len(dp.rows) for dp in frag.diagonal)
+        sizes = sorted(spec.sigma.parts[dp.symbol] for dp in frag.diagonal)
         assert sizes == [2, 3, 4]
+        # edge i frees its part in column i: the square's main diagonal
+        for dp in frag.diagonal:
+            assert frag.classes[dp.edge_pos * 3 + dp.symbol] == dp.edge_pos + 1
 
     def test_singleton_parts(self):
         spec = make_spec(3, 3, [1, 1, 1])
         frag = dls_matching(spec, 0, 0)
-        assert len(frag.edges) == 3
-        assert_fragment_covers(spec, frag.edges, range(1, 4), range(1, 4))
+        edges = fragment_edges(spec, frag)
+        assert len(edges) == 3
+        assert_fragment_covers(spec, edges, range(1, 4), range(1, 4))
 
     def test_two_parts_refused(self):
         with pytest.raises(NoSuchDesign):
@@ -483,7 +511,7 @@ class TestDlsMatching:
     def test_offsets_and_bounds(self):
         spec = make_spec(7, 20, [4, 3, 2])
         frag = dls_matching(spec, 5, 3)
-        assert_fragment_covers(spec, frag.edges, range(6, 15), range(4, 7))
+        assert_fragment_covers(spec, fragment_edges(spec, frag), range(6, 15), range(4, 7))
         with pytest.raises(ValidationError):
             dls_matching(spec, 12, 0)
         with pytest.raises(ValidationError):
@@ -494,7 +522,7 @@ class TestPackingMatching:
     def test_tiny_split(self):
         spec = make_spec(3, 2, [2, 1])
         split = find_r_good_split(spec.sigma)
-        edges = packing_matching(spec, split, 0, 0)
+        edges = interval_edges(spec.sigma.parts, *packing_matching(spec, split, 0, 0))
         assert len(edges) == 2
         assert_fragment_covers(spec, edges, range(1, 3), range(1, 4))
 
@@ -502,7 +530,7 @@ class TestPackingMatching:
         spec = make_spec(9, 14, [4, 3, 2])
         split = find_r_good_split(spec.sigma)
         assert split.L == 14
-        edges = packing_matching(spec, split, 0, 0)
+        edges = interval_edges(spec.sigma.parts, *packing_matching(spec, split, 0, 0))
         assert len(edges) == 14
         assert_fragment_covers(spec, edges, range(1, 15), range(1, 10))
 
@@ -510,7 +538,7 @@ class TestPackingMatching:
         spec = make_spec(5, 6, [3, 2])
         split = find_r_good_split(spec.sigma)
         assert split.L == 6
-        edges = packing_matching(spec, split, 0, 0)
+        edges = interval_edges(spec.sigma.parts, *packing_matching(spec, split, 0, 0))
         assert len(edges) == 6
         assert_fragment_covers(spec, edges, range(1, 7), range(1, 6))
 
@@ -665,3 +693,23 @@ class TestGreedyAndBest:
             assert rep.nu == len(rep.matching.edges)
             assert rep.unmatched_count == spec.num_vertices - spec.r * rep.nu
             assert rep.unmatched_count == len(rep.matching.unmatched)
+
+    def test_interval_path_builds_no_edge_objects(self, monkeypatch):
+        # one spec per route best_matching can take; only reading
+        # matching.edges or matching.unmatched may build Edge or VertexSet
+        def refuse(*args):
+            raise AssertionError("built on the interval path")
+
+        monkeypatch.setattr(core.Edge, "__post_init__", refuse)
+        monkeypatch.setattr(core.VertexSet, "of", refuse)
+        for n, q, parts in [
+            (7, 146, (3, 2)), (13, 149, (2, 2, 1)), (26, 9, (2, 2)), (26, 6, (1, 1, 1, 1)),
+            (12, 13, (4, 2)), (16, 20, (5, 4, 3, 2)), (9, 36, (3, 2, 1)), (64, 118, (4, 3, 2)),
+            (6, 4, (2, 1)), (27, 2541, (2,) + (1,) * 12), (32, 58, (2, 2)), (57, 53, (4, 2)),
+            (25, 239, (3, 2, 1)),
+        ]:
+            spec = make_spec(n, q, parts)
+            rep = best_matching(spec)
+            assert verify_matching(spec, rep.matching).ok, spec
+            core.matching_to_json(rep.matching)
+            assert canonicalize(spec, rep.matching).size == rep.nu

@@ -154,10 +154,10 @@ class TestBfAlphaK:
             bf_alpha_k(make_spec(3, 3, [2, 1]), 3, BUDGET)
 
     def test_placements_and_deadline_checked(self):
-        spec = make_spec(6, 1, [1, 1, 1])  # 6!/3! = 120 placements
+        spec = make_spec(6, 1, [1, 1, 1])  # 6!/3!/3! = 20 distinct placements
         with pytest.raises(BudgetExceeded):
-            bf_alpha_k(spec, 1, OracleBudget(max_vertices=32, max_edges=119, time_limit=60))
-        admitted = OracleBudget(max_vertices=32, max_edges=120, time_limit=60)
+            bf_alpha_k(spec, 1, OracleBudget(max_vertices=32, max_edges=19, time_limit=60))
+        admitted = OracleBudget(max_vertices=32, max_edges=20, time_limit=60)
         assert bf_alpha_k(spec, 1, admitted) == alpha_k(spec, 1)
         with pytest.raises(BudgetExceeded):
             bf_alpha_k(make_spec(5, 2, [2, 1]), 1, OracleBudget(time_limit=1e-9))

@@ -1,7 +1,9 @@
 """Property tests over random small specs: every strategy's matching
-verifies and meets its certificates, output is deterministic, and nu never
-exceeds the exact optimum.  A fuzz of the CLI's JSON inputs checks that
-malformed files end in an exit code, never a traceback."""
+verifies and meets its certificates, output is deterministic, nu never
+exceeds the exact optimum, and the interval form every construction emits
+reads, verifies and encodes exactly as the row-set form of the same edges.
+A fuzz of the CLI's JSON inputs checks that malformed files end in an exit
+code, never a traceback."""
 
 import contextlib
 import io
@@ -14,12 +16,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigmahg.cli import run
-from sigmahg.core import NoRepresentation, make_spec, matching_to_json, verify_matching
+from sigmahg.core import (
+    Matching,
+    NoRepresentation,
+    VertexSet,
+    make_edge,
+    make_spec,
+    matching_to_json,
+    verify_matching,
+)
 from sigmahg.matching import (
     MatchingReport,
     NoSuchDesign,
     RegimeError,
     best_matching,
+    canonicalize,
     diagonal_perfect_matching,
     greedy_matching,
     r_good_maximum_matching,
@@ -79,6 +90,70 @@ def test_repeated_calls_give_identical_json(spec):
     first = {name: as_json(rep) for name, rep in strategy_reports(spec)}
     again = {name: as_json(rep) for name, rep in strategy_reports(spec)}
     assert first == again
+
+
+def row_set_copy(m):
+    """The row-set matching of interval-form m, built from its intervals
+    without reading ``m.edges`` or ``m.unmatched``."""
+    s = len(m.parts)
+    edges = [
+        make_edge(
+            (m.classes[k + i], range(m.rows[k + i], m.rows[k + i] + m.parts[i]))
+            for i in range(s)
+        )
+        for k in range(0, len(m.classes), s)
+    ]
+    unmatched = VertexSet.of((c, row) for c, lo, count in m.runs for row in range(lo, lo + count))
+    return Matching(edges, unmatched)
+
+
+def tampered(spec, m):
+    """Interval-form copies of m with one fault each."""
+    s, classes, rows, runs = len(m.parts), list(m.classes), list(m.rows), list(m.runs)
+    variants = [(classes, rows, runs + [(1, 1, 1)])]  # an extra unmatched vertex
+    if classes:
+        variants += [
+            (classes, [rows[0] + 1] + rows[1:], runs),  # a shifted first row
+            ([spec.n + 1] + classes[1:], rows, runs),  # a part off the grid
+            (classes, [spec.q] + rows[1:], runs),  # off the grid unless its size is 1
+            (classes[s:], rows[s:], runs),  # a dropped edge
+        ]
+        if s > 1:
+            variants.append(([classes[1]] + classes[1:], rows, runs))  # a repeated class
+        # two parts of one size swapped between edge 0 and a later edge, so
+        # that edge 0 holds a class twice while the parts still tile the grid
+        swap = next(
+            (
+                (i, k)
+                for i in range(s)
+                for k in range(s, len(classes))
+                if m.parts[k % s] == m.parts[i]
+                and classes[k] != classes[i]
+                and classes[k] in classes[:s]
+            ),
+            None,
+        )
+        if swap:
+            i, k = swap
+            swapped = [classes[:], rows[:]]
+            for flat in swapped:
+                flat[i], flat[k] = flat[k], flat[i]
+            variants.append((*swapped, runs))
+    return [Matching.from_intervals(m.parts, *v) for v in variants]
+
+
+@DETERMINISTIC
+@given(specs)
+def test_interval_form_agrees_with_row_sets(spec):
+    for name, rep in strategy_reports(spec):
+        assert rep.matching.classes is not None, (spec, name)
+        m = rep.matching
+        for variant in [m, canonicalize(spec, m), *tampered(spec, m)]:
+            copy = row_set_copy(variant)
+            assert variant.edges == copy.edges, (spec, name)
+            assert variant.unmatched == copy.unmatched, (spec, name)
+            assert verify_matching(spec, variant) == verify_matching(spec, copy), (spec, name)
+            assert matching_to_json(variant) == matching_to_json(copy), (spec, name)
 
 
 @DETERMINISTIC
