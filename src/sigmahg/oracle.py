@@ -13,7 +13,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from operator import itemgetter
 
 from .core import (
     HypergraphSpec,
@@ -23,11 +23,7 @@ from .core import (
     VertexSet,
     count_edges,
     edge_shapes,
-    enumerate_edges,
 )
-
-if TYPE_CHECKING:
-    import numpy as np  # imported where the colouring oracle runs
 
 
 class BudgetExceeded(SigmaHypergraphError):
@@ -65,18 +61,8 @@ def _check_vertices(spec: HypergraphSpec, budget: OracleBudget, what: str) -> No
 
 
 def _monotone_profiles(n: int, q: int):
-    """All weakly decreasing tuples in [0..q]^n."""
-
-    def rec(i: int, upper: int, prefix: list[int]):
-        if i == n:
-            yield tuple(prefix)
-            return
-        for v in range(upper, -1, -1):
-            prefix.append(v)
-            yield from rec(i + 1, v, prefix)
-            prefix.pop()
-
-    yield from rec(0, q, [])
+    """All weakly decreasing tuples in [0..q]^n, lexicographically from the top."""
+    return itertools.combinations_with_replacement(range(q, -1, -1), n)
 
 
 @lru_cache(maxsize=256)
@@ -184,43 +170,6 @@ def bf_max_matching(
     return best((spec.q,) * n)
 
 
-def _bb_max_matching_edges(spec: HypergraphSpec, max_edges: int = 2000) -> int:
-    """Literal branch-and-bound over the explicit edge stream.
-
-    Only usable on tiny instances; kept as an independent cross-check for
-    bf_max_matching.
-    """
-    if not spec.has_edges:
-        return 0
-    if count_edges(spec) > max_edges:
-        raise BudgetExceeded("edge stream too large for the literal search")
-    nq = spec.num_vertices
-    q = spec.q
-    masks = []
-    for edge in enumerate_edges(spec):
-        mask = 0
-        for v in edge.vertices():
-            mask |= 1 << ((v.class_index - 1) * q + (v.row_index - 1))
-        masks.append(mask)
-    r = spec.r
-    best = 0
-
-    def rec(i: int, used: int, count: int, covered: int) -> None:
-        nonlocal best
-        if count > best:
-            best = count
-        if count + (nq - covered) // r <= best:
-            return
-        for j in range(i, len(masks)):
-            m = masks[j]
-            if m & used:
-                continue
-            rec(j + 1, used | m, count + 1, covered + r)
-
-    rec(0, 0, 0, 0)
-    return best
-
-
 def _bell(m: int) -> int:
     """Number of set partitions of an m-set, by the Bell triangle."""
     row = [1]
@@ -229,48 +178,102 @@ def _bell(m: int) -> int:
     return row[-1]
 
 
-@lru_cache(maxsize=8)
-def _set_partitions(m: int) -> np.ndarray:
-    """All set partitions of {0..m-1} as restricted-growth strings."""
-    import numpy as np
+@lru_cache(maxsize=16)
+def _count_matrices(n: int, q: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Colour x class count matrices (tuples of columns) with column sums q
+    and rows and columns both lexicographically non-increasing: one or more
+    per colouring up to permuting rows in a class, classes and colours, as
+    every matrix has such an order (Lubiw 1987).  Each new row (colour) is at
+    most the last, non-increasing where columns tie, positive in the first
+    unfilled column."""
+    found = []
 
-    rows: list[list[int]] = []
-
-    def rec(i: int, top: int, rgs: list[int]) -> None:
-        if i == m:
-            rows.append(list(rgs))
+    def rows(rem, prev, ties, first, row):
+        j = len(row)
+        if j == n:
+            yield row
             return
-        for c in range(top + 2):
-            rgs.append(c)
-            rec(i + 1, max(top, c), rgs)
-            rgs.pop()
+        top = min(rem[j], prev[j] if prev else q, row[-1] if j and ties[j - 1] else q)
+        for v in range(top, (j == first) - 1, -1):  # prev is () once the row is below it
+            yield from rows(rem, prev if prev and v == prev[j] else (), ties, first, row + (v,))
 
-    rec(0, -1, [])
-    return np.array(rows, dtype=np.int8)
+    def extend(matrix, rem, ties):
+        if not any(rem):
+            found.append(tuple(zip(*matrix)))
+            return
+        first = next(j for j, left in enumerate(rem) if left)
+        for row in rows(rem, matrix[-1] if matrix else (), ties, first, ()):
+            ties_after = tuple(t and a == b for t, a, b in zip(ties, row, row[1:]))
+            extend(matrix + [row], tuple(a - b for a, b in zip(rem, row)), ties_after)
+
+    extend([], (q,) * n, (True,) * (n - 1))
+    return tuple(found)
+
+
+def _shown_colour_sets(column: tuple[int, ...], a: int) -> tuple[int, ...]:
+    """Bitmasks of the colour sets S an a-subset of this class shows: |S| <= a <= count(S)."""
+    present = [i for i, count in enumerate(column) if count]
+    return tuple(
+        sum(1 << i for i in colours)
+        for m in range(1, a + 1)
+        for colours in itertools.combinations(present, m)
+        if sum(column[i] for i in colours) >= a
+    )
+
+
+def _spread(lists: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
+    """Least and most colours in a union of one colour set from each list."""
+    lo, hi, last = float("inf"), 0, len(lists) - 1
+
+    def walk(i: int, union: int) -> None:  # loops and compares: no set or tuple per union
+        nonlocal lo, hi
+        for mask in lists[i]:
+            if i < last:
+                walk(i + 1, union | mask)
+                continue
+            shown = (union | mask).bit_count()
+            if shown < lo:
+                lo = shown
+            if shown > hi:
+                hi = shown
+
+    walk(0, 0)
+    return lo, hi
 
 
 @lru_cache(maxsize=64)
-def _colouring_summary(
-    n: int, q: int, parts: tuple[int, ...], time_limit: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per set partition of the vertices: (#blocks, min and max number of
-    distinct colours seen on any edge)."""
-    import numpy as np
-
+def _colouring_triples(n: int, q: int, parts: tuple[int, ...], time_limit: float) -> frozenset:
+    """(colours used, least and most colours on an edge) per count matrix: an edge shows
+    the union of its parts' colour sets, scored once per distinct tuple of set lists."""
     deadline = _Deadline(time_limit)
-    rgs = _set_partitions(n * q)
-    blocks = rgs.max(axis=1).astype(np.int16) + 1
-    lo = np.full(len(rgs), np.iinfo(np.int16).max, dtype=np.int16)
-    hi = np.zeros(len(rgs), dtype=np.int16)
-    for classes, sizes in edge_shapes(HypergraphSpec(n, q, Sigma(parts))):
-        ids = [itertools.combinations(range((c - 1) * q, c * q), a) for c, a in zip(classes, sizes)]
-        for cells in itertools.product(*ids):
-            deadline.check("bf_colouring_spectrum")
-            cols = np.sort(rgs[:, list(itertools.chain(*cells))], axis=1)
-            distinct = 1 + (np.diff(cols, axis=1) != 0).sum(axis=1).astype(np.int16)
-            np.minimum(lo, distinct, out=lo)
-            np.maximum(hi, distinct, out=hi)
-    return blocks, lo, hi
+    sizes = sorted(set(parts))
+    picks = [  # a placement's set lists, from a matrix's flat list of them
+        itemgetter(*[(c - 1) * len(sizes) + sizes.index(a) for c, a in zip(cs, szs)], -1)
+        for cs, szs in edge_shapes(HypergraphSpec(n, q, Sigma(parts)))
+    ]
+    shows: dict[tuple[int, ...], list[tuple[int, ...]]] = {}  # column -> set lists by size
+    spread: dict[tuple, tuple[int, int]] = {}  # a placement's set lists -> (least, most)
+    triples = set()
+    for matrix in _count_matrices(n, q):
+        deadline.check("bf_colouring_spectrum")
+        flat = []
+        for column in matrix:
+            if column not in shows:
+                shows[column] = [_shown_colour_sets(column, a) for a in sizes]
+            flat += shows[column]
+        flat.append((0,))  # the empty set, so a one-part placement is picked as a tuple
+        lo, hi = len(matrix[0]), 0
+        for pick in picks:
+            key = pick(flat)
+            got = spread.get(key)
+            if got is None:
+                got = spread[key] = _spread(key)
+            if got[0] < lo:  # not min()/max(), which build an argument tuple
+                lo = got[0]
+            if got[1] > hi:
+                hi = got[1]
+        triples.add((len(matrix[0]), lo, hi))
+    return frozenset(triples)
 
 
 def bf_colouring_spectrum(
@@ -281,13 +284,13 @@ def bf_colouring_spectrum(
 ) -> tuple[int | None, int | None]:
     """Least and greatest usable colour counts by exhausting colourings.
 
-    Colourings that use exactly t colours correspond to set partitions
-    into t blocks, so the scan runs over all set partitions of the vertex
-    set and checks that every edge shows between alpha_param and
-    beta_param distinct colours.  Returns (None, None) when no colouring
-    exists.  Intended for at most ~9 vertices; the number of set
-    partitions, Bell(nq), is checked against ``budget.max_edges`` before
-    any is built.
+    Whether every edge shows alpha_param..beta_param distinct colours, and
+    how many colours are used, survive relabelling rows within a class,
+    classes and colours, so count matrices, one or more per class of
+    colourings, are scored (``_count_matrices``).  Returns (None, None)
+    when no colouring exists.  Bell(nq), the number of set partitions of
+    the vertices, is checked against ``budget.max_edges`` before any matrix
+    is built; the time limit is checked once per matrix.
     """
     r = spec.r
     if not 1 <= alpha_param <= beta_param <= r:
@@ -303,13 +306,9 @@ def bf_colouring_spectrum(
             f"bf_colouring_spectrum: {partitions} set partitions of {spec.num_vertices} "
             f"vertices exceeds budget {budget.max_edges}"
         )
-    blocks, lo, hi = _colouring_summary(
-        spec.n, spec.q, spec.sigma.parts, budget.time_limit
-    )
-    valid = (lo >= alpha_param) & (hi <= beta_param)
-    if not valid.any():
-        return None, None
-    return int(blocks[valid].min()), int(blocks[valid].max())
+    triples = _colouring_triples(spec.n, spec.q, spec.sigma.parts, budget.time_limit)
+    valid = [used for used, lo, hi in triples if lo >= alpha_param and hi <= beta_param]
+    return (min(valid), max(valid)) if valid else (None, None)
 
 
 def bf_max_intersection(

@@ -426,12 +426,14 @@ class TestPlumbing:
         assert code == 1
 
     def test_import_leaves_numpy_unloaded(self):
-        # numpy is loaded by the colouring oracle only, when it runs
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, sigmahg.cli; print('numpy' in sys.modules)"],
-            capture_output=True,
-            text=True,
+        # numpy is not a runtime dependency, not even of the colouring oracle
+        child = (
+            "import sys, sigmahg.cli\n"
+            "from sigmahg import make_spec, oracle\n"
+            "oracle.bf_colouring_spectrum(make_spec(3, 2, [2, 1]), 2, 2)\n"
+            "print('numpy' in sys.modules)"
         )
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 

@@ -1,21 +1,32 @@
+from __future__ import annotations
+
 import itertools
 import math
 import random
+from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import pytest
 
 from sigmahg import core
-from sigmahg.core import VertexSet, ValidationError, enumerate_edges, make_spec
+from sigmahg.core import (
+    HypergraphSpec,
+    Sigma,
+    VertexSet,
+    ValidationError,
+    count_edges,
+    edge_shapes,
+    enumerate_edges,
+    make_spec,
+)
 from sigmahg.independence import alpha_k, max_intersection_edge
 from sigmahg.oracle import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     OracleBudget,
-    _bb_max_matching_edges,
-    _colouring_summary,
+    _Deadline,
     _monotone_profiles,
     _profile_overlap_table,
-    _set_partitions,
     bf_alpha_k,
     bf_colouring_spectrum,
     bf_max_intersection,
@@ -23,6 +34,9 @@ from sigmahg.oracle import (
 )
 
 from conftest import partitions
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BUDGET = OracleBudget(max_vertices=32, max_edges=500_000, time_limit=60.0)
 
@@ -56,6 +70,87 @@ def desk_specs(max_vertices=24):
         for q in range(parts[0], 9)
         if n * q <= max_vertices and math.perm(n, len(parts)) <= DEFAULT_BUDGET.max_edges
     ]
+
+
+def _bb_max_matching_edges(spec: HypergraphSpec, max_edges: int = 2000) -> int:
+    """Literal branch-and-bound over the explicit edge stream.
+
+    Only usable on tiny instances; kept as an independent cross-check for
+    bf_max_matching.
+    """
+    if not spec.has_edges:
+        return 0
+    if count_edges(spec) > max_edges:
+        raise BudgetExceeded("edge stream too large for the literal search")
+    nq = spec.num_vertices
+    q = spec.q
+    masks = []
+    for edge in enumerate_edges(spec):
+        mask = 0
+        for v in edge.vertices():
+            mask |= 1 << ((v.class_index - 1) * q + (v.row_index - 1))
+        masks.append(mask)
+    r = spec.r
+    best = 0
+
+    def rec(i: int, used: int, count: int, covered: int) -> None:
+        nonlocal best
+        if count > best:
+            best = count
+        if count + (nq - covered) // r <= best:
+            return
+        for j in range(i, len(masks)):
+            m = masks[j]
+            if m & used:
+                continue
+            rec(j + 1, used | m, count + 1, covered + r)
+
+    rec(0, 0, 0, 0)
+    return best
+
+
+@lru_cache(maxsize=8)
+def _set_partitions(m: int) -> np.ndarray:
+    """All set partitions of {0..m-1} as restricted-growth strings."""
+    import numpy as np
+
+    rows: list[list[int]] = []
+
+    def rec(i: int, top: int, rgs: list[int]) -> None:
+        if i == m:
+            rows.append(list(rgs))
+            return
+        for c in range(top + 2):
+            rgs.append(c)
+            rec(i + 1, max(top, c), rgs)
+            rgs.pop()
+
+    rec(0, -1, [])
+    return np.array(rows, dtype=np.int8)
+
+
+@lru_cache(maxsize=64)
+def _colouring_summary(
+    n: int, q: int, parts: tuple[int, ...], time_limit: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per set partition of the vertices: (#blocks, min and max number of
+    distinct colours seen on any edge)."""
+    import numpy as np
+
+    deadline = _Deadline(time_limit)
+    rgs = _set_partitions(n * q)
+    blocks = rgs.max(axis=1).astype(np.int16) + 1
+    lo = np.full(len(rgs), np.iinfo(np.int16).max, dtype=np.int16)
+    hi = np.zeros(len(rgs), dtype=np.int16)
+    for classes, sizes in edge_shapes(HypergraphSpec(n, q, Sigma(parts))):
+        ids = [itertools.combinations(range((c - 1) * q, c * q), a) for c, a in zip(classes, sizes)]
+        for cells in itertools.product(*ids):
+            deadline.check("bf_colouring_spectrum")
+            cols = np.sort(rgs[:, list(itertools.chain(*cells))], axis=1)
+            distinct = 1 + (np.diff(cols, axis=1) != 0).sum(axis=1).astype(np.int16)
+            np.minimum(lo, distinct, out=lo)
+            np.maximum(hi, distinct, out=hi)
+    return blocks, lo, hi
 
 
 def reference_profile_overlap_table(n, q, parts):
@@ -237,20 +332,45 @@ class TestBfColouringSpectrum:
         with pytest.raises(BudgetExceeded, match="time budget"):
             bf_colouring_spectrum(spec, 1, 2, OracleBudget(time_limit=1e-9))
 
+    def test_deadline_checked_with_warm_matrix_cache(self):
+        bf_colouring_spectrum(make_spec(3, 3, [2, 1]), 1, 2)  # count matrices of 3 x 3 cached
+        with pytest.raises(BudgetExceeded, match="time budget"):
+            bf_colouring_spectrum(make_spec(3, 3, [3, 2]), 1, 2, OracleBudget(time_limit=1e-9))
+
+    def test_complete_graph_closed_forms(self):
+        # H(n, 1 | (1,1)) is K_n, and q = 1 leaves no row symmetry to exploit
+        for n in range(2, 11):
+            spec = make_spec(n, 1, [1, 1])
+            assert bf_colouring_spectrum(spec, 2, 2) == (n, n)  # proper colourings
+            assert bf_colouring_spectrum(spec, 1, 1) == (1, 1)
+            assert bf_colouring_spectrum(spec, 1, 2) == (1, n)
+
     def test_summary_matches_edge_stream_reference(self):
+        # The Bell table (every set partition, scored edge by edge) is the
+        # reference; on at most 8 vertices it is itself checked against the
+        # literal edge stream.
         np = pytest.importorskip("numpy")
-        for spec in desk_specs(max_vertices=8):
+        ten_vertices = [make_spec(2, 5, [3, 2]), make_spec(5, 2, [2, 1])]
+        for spec in desk_specs(max_vertices=9) + ten_vertices:
             n, q, parts = spec.n, spec.q, spec.sigma.parts
-            rgs = _set_partitions(n * q)
-            lo = np.full(len(rgs), np.iinfo(np.int16).max, dtype=np.int16)
-            hi = np.zeros(len(rgs), dtype=np.int16)
-            for edge in enumerate_edges(spec):
-                idx = [(v.class_index - 1) * q + (v.row_index - 1) for v in edge.vertices()]
-                distinct = np.array([len(set(row)) for row in rgs[:, idx].tolist()])
-                np.minimum(lo, distinct, out=lo)
-                np.maximum(hi, distinct, out=hi)
-            _, got_lo, got_hi = _colouring_summary(n, q, parts, 60.0)
-            assert (got_lo == lo).all() and (got_hi == hi).all(), spec
+            blocks, got_lo, got_hi = _colouring_summary(n, q, parts, 600.0)
+            if n * q <= 8:
+                rgs = _set_partitions(n * q)
+                lo = np.full(len(rgs), np.iinfo(np.int16).max, dtype=np.int16)
+                hi = np.zeros(len(rgs), dtype=np.int16)
+                for edge in enumerate_edges(spec):
+                    idx = [(v.class_index - 1) * q + (v.row_index - 1) for v in edge.vertices()]
+                    distinct = np.array([len(set(row)) for row in rgs[:, idx].tolist()])
+                    np.minimum(lo, distinct, out=lo)
+                    np.maximum(hi, distinct, out=hi)
+                assert (got_lo == lo).all() and (got_hi == hi).all(), spec
+            for a in range(1, spec.r + 1):
+                for b in range(a, spec.r + 1):
+                    valid = (got_lo >= a) & (got_hi <= b)
+                    want = (None, None)
+                    if valid.any():
+                        want = (int(blocks[valid].min()), int(blocks[valid].max()))
+                    assert bf_colouring_spectrum(spec, a, b, BUDGET) == want, (spec, a, b)
 
 
 class TestBfMaxIntersection:
