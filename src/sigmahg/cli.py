@@ -15,10 +15,17 @@ import os
 import sys
 from typing import TextIO
 
-from . import core, independence, matching, oracle
-from .core import NoRepresentation, SigmaHypergraphError, ValidationError
-from .matching import NoSuchDesign, RegimeError
-from .oracle import BudgetExceeded, OracleBudget
+# each command imports the modules beyond core that it needs, so a call
+# loads only what its subcommand uses
+from . import core
+from .core import (
+    BudgetExceeded,
+    NoRepresentation,
+    NoSuchDesign,
+    RegimeError,
+    SigmaHypergraphError,
+    ValidationError,
+)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -77,7 +84,9 @@ def _load_spec(args: argparse.Namespace) -> core.HypergraphSpec:
     return core.make_spec(args.n, args.q, parts)
 
 
-def _budget() -> OracleBudget:
+def _budget_limits() -> tuple[int, int, float]:
+    """The oracle budget's (max_vertices, max_edges, time_limit): the
+    defaults scaled by the factor in SIGMA_HYPER_BUDGET, if set."""
     factor = 1.0
     raw = os.environ.get(BUDGET_ENV)
     if raw:
@@ -89,11 +98,10 @@ def _budget() -> OracleBudget:
             raise _UsageError(f"{BUDGET_ENV} must be positive")
         if not math.isfinite(factor):
             raise _UsageError(f"{BUDGET_ENV} must be finite, got {core._brief(raw)}")
-    return OracleBudget(
-        max_vertices=max(1, int(32 * factor)),
-        max_edges=max(1, int(200_000 * factor)),
-        time_limit=60.0 * factor,
-    )
+    try:
+        return max(1, int(32 * factor)), max(1, int(200_000 * factor)), 60.0 * factor
+    except OverflowError:
+        raise _UsageError(f"{BUDGET_ENV} is too large, got {core._brief(raw)}") from None
 
 
 def _render_table(payload: object, indent: int = 0, out=None) -> None:
@@ -126,6 +134,8 @@ def _emit(payload: dict, fmt: str) -> None:
 
 
 def _cmd_alpha(args: argparse.Namespace) -> int:
+    from . import independence
+
     spec = _load_spec(args)
     payload: dict = {"spec": core.spec_to_json(spec)}
     if args.all:
@@ -146,6 +156,8 @@ def _cmd_alpha(args: argparse.Namespace) -> int:
 
 
 def _cmd_alpha_closed(args: argparse.Namespace) -> int:
+    from . import independence
+
     spec = _load_spec(args)
     value, j = independence.alpha(spec)
     _emit({"spec": core.spec_to_json(spec), "alpha": value, "j": j}, args.format)
@@ -153,6 +165,8 @@ def _cmd_alpha_closed(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    from . import independence
+
     spec = _load_spec(args)
     b = independence.colouring_bounds(spec, args.alpha, args.beta)
     _emit(
@@ -171,6 +185,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_match(args: argparse.Namespace) -> int:
+    from . import matching
+
     spec = _load_spec(args)
     if args.strategy == "auto":
         report = matching.best_matching(spec)
@@ -186,6 +202,9 @@ def _cmd_match(args: argparse.Namespace) -> int:
         report = matching.MatchingReport.of(spec, matching.greedy_matching(spec), "greedy")
     payload = {"spec": core.spec_to_json(spec)}
     payload.update(matching.report_to_json(report))
+    if args.emit and args.format == "json":
+        sys.stdout.write(core.dumps_with_matching(payload, report.matching) + "\n")
+        return EXIT_OK
     if args.emit:
         payload["matching"] = core.matching_to_json(report.matching)
     _emit(payload, args.format)
@@ -221,7 +240,7 @@ def _cmd_edges(args: argparse.Namespace) -> int:
     count = core.count_edges(spec)
     payload: dict = {"spec": core.spec_to_json(spec), "count": count}
     if args.list:
-        limit = _budget().max_edges
+        limit = _budget_limits()[1]
         if count > limit:
             raise BudgetExceeded(f"--list would print {count} edges, over the budget of {limit}")
         payload["edges"] = [core.edge_to_json(e) for e in core.enumerate_edges(spec)]
@@ -230,8 +249,10 @@ def _cmd_edges(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    from . import oracle
+
     spec = _load_spec(args)
-    budget = _budget()
+    budget = oracle.OracleBudget(*_budget_limits())
     payload: dict = {"spec": core.spec_to_json(spec), "oracle": args.which}
     if args.which == "alpha":
         if args.k is None:
@@ -262,6 +283,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from . import independence
+
     if not args.paper_example:
         raise _UsageError("sweep needs --paper-example")
     entries = []

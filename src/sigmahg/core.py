@@ -12,9 +12,9 @@ and safe to share across threads.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from operator import add, itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
@@ -35,25 +35,51 @@ class NoEdges(SigmaHypergraphError):
     """The operation needs at least one edge but the edge set is empty."""
 
 
-@dataclass(frozen=True)
-class Sigma:
+class RegimeError(SigmaHypergraphError):
+    """The requested construction's parameter regime does not apply."""
+
+
+class NoSuchDesign(SigmaHypergraphError):
+    """The requested combinatorial design does not exist."""
+
+
+class BudgetExceeded(SigmaHypergraphError):
+    """The search would exceed the caller's budget; no partial answer."""
+
+
+class _Checked:
+    """Base for records that check their fields in ``__new__``: ``_make``,
+    and so ``_replace``, construct through the class and its checks."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _SigmaFields(NamedTuple):
+    parts: tuple[int, ...]
+
+
+class Sigma(_Checked, _SigmaFields):
     """A partition of r in weakly decreasing order.
 
     ``parts`` is normalised to a descending tuple on construction.
     """
 
-    parts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.parts:
+    def __new__(cls, parts: Iterable[int]) -> "Sigma":
+        if not parts:
             raise ValidationError("sigma needs at least one part")
         try:
-            parts = tuple(sorted((int(a) for a in self.parts), reverse=True))
+            norm = tuple(sorted((int(a) for a in parts), reverse=True))
         except (TypeError, ValueError) as exc:
-            raise ValidationError(f"sigma parts must be integers: {_brief(self.parts)}") from exc
-        if parts[-1] < 1:
-            raise ValidationError(f"sigma parts must be positive: {_brief(self.parts)}")
-        object.__setattr__(self, "parts", parts)
+            raise ValidationError(f"sigma parts must be integers: {_brief(parts)}") from exc
+        if norm[-1] < 1:
+            raise ValidationError(f"sigma parts must be positive: {_brief(parts)}")
+        return super().__new__(cls, norm)
 
     @property
     def r(self) -> int:
@@ -77,17 +103,21 @@ class Sigma:
         return "(" + ",".join(str(a) for a in self.parts) + ")"
 
 
-@dataclass(frozen=True)
-class HypergraphSpec:
-    """The tuple (n, q, sigma) describing H(n, r, q | sigma)."""
-
+class _HypergraphSpecFields(NamedTuple):
     n: int
     q: int
     sigma: Sigma
 
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.q < 1:
-            raise ValidationError(f"need n >= 1 and q >= 1, got n={self.n}, q={self.q}")
+
+class HypergraphSpec(_Checked, _HypergraphSpecFields):
+    """The tuple (n, q, sigma) describing H(n, r, q | sigma)."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, q: int, sigma: Sigma) -> "HypergraphSpec":
+        if n < 1 or q < 1:
+            raise ValidationError(f"need n >= 1 and q >= 1, got n={n}, q={q}")
+        return super().__new__(cls, n, q, sigma)
 
     @property
     def r(self) -> int:
@@ -118,8 +148,11 @@ class Vertex(NamedTuple):
     row_index: int
 
 
-@dataclass(frozen=True)
-class Edge:
+class _EdgeFields(NamedTuple):
+    parts: tuple[tuple[int, frozenset[int]], ...]
+
+
+class Edge(_Checked, _EdgeFields):
     """An edge candidate: parts (class, row-set), stored sorted by class.
 
     The constructor enforces structural sanity (non-empty parts, positive
@@ -129,11 +162,11 @@ class Edge:
     crashing, but no library construction ever emits one.
     """
 
-    parts: tuple[tuple[int, frozenset[int]], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, parts: Iterable[tuple[int, Iterable[int]]]) -> "Edge":
         norm = []
-        for class_index, rows in self.parts:
+        for class_index, rows in parts:
             rows = frozenset(map(int, rows))
             if not rows:
                 raise ValidationError("edge part with empty row set")
@@ -146,7 +179,7 @@ class Edge:
         if len({c for c, _ in norm}) < len(norm):
             # a repeated class: order its parts by their sorted rows
             norm.sort(key=lambda p: (p[0], sorted(p[1])))
-        object.__setattr__(self, "parts", tuple(norm))
+        return super().__new__(cls, tuple(norm))
 
     def vertices(self) -> Iterator[Vertex]:
         for class_index, rows in self.parts:
@@ -168,11 +201,25 @@ def make_edge(parts: Iterable[tuple[int, Iterable[int]]]) -> Edge:
     return Edge(tuple((c, frozenset(rows)) for c, rows in parts))
 
 
-@dataclass(frozen=True)
-class VertexSet:
-    """An immutable set of grid vertices."""
+class _VertexSetFields(NamedTuple):
+    members: frozenset[Vertex] = frozenset()
 
-    members: frozenset[Vertex] = field(default_factory=frozenset)
+
+class VertexSet(_Checked, _VertexSetFields):
+    """An immutable set of grid vertices.
+
+    ``len``, ``in`` and iteration (in sorted order) act on the members, so
+    the tuple helpers that iterate a record (``_replace``, ``_asdict``) do
+    not apply; build a new VertexSet instead.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, members: Iterable[Vertex] = frozenset()) -> "VertexSet":
+        return super().__new__(cls, frozenset(members))
+
+    def __getnewargs__(self) -> tuple[frozenset[Vertex]]:
+        return (self.members,)
 
     @classmethod
     def of(cls, vertices: Iterable[Vertex | tuple[int, int]]) -> "VertexSet":
@@ -405,14 +452,12 @@ def frobenius_decompose(target: int, u: int, v: int) -> tuple[int, int]:
     raise NoRepresentation(f"{target} is not a nonnegative combination of {u} and {v}")
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str  # "overlap" | "non-edge" | "unmatched"
     message: str
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     violations: tuple[Violation, ...]
 
     @property
@@ -585,16 +630,66 @@ def matching_to_json(m: Matching) -> dict:
         edges = [edge_to_json(e) for e in m.edges]
         unmatched = sorted(m.unmatched.members)
     else:
-        s = len(m.parts)
         edges = [
-            [
-                {"class": c, "rows": list(range(row, row + a))}
-                for c, row, a in sorted(zip(m.classes[k : k + s], m.rows[k : k + s], m.parts))
-            ]
-            for k in range(0, len(m.classes), s)
+            [{"class": c, "rows": list(range(row, row + a))} for c, row, a in parts]
+            for parts in _edge_parts(m)
         ]
-        unmatched = sorted({(c, row) for c, lo, count in m.runs for row in range(lo, lo + count)})
+        unmatched = _run_cells(m)
     return {"edges": edges, "unmatched": [{"class": c, "row": row} for c, row in unmatched]}
+
+
+def _edge_parts(m: Matching) -> Iterator[list[tuple[int, int, int]]]:
+    """Per edge of interval-form m, its parts as (class, first row, size),
+    in the order Edge keeps them."""
+    s = len(m.parts)
+    for k in range(0, len(m.classes), s):
+        yield sorted(zip(m.classes[k : k + s], m.rows[k : k + s], m.parts))
+
+
+def _run_cells(m: Matching) -> list[tuple[int, int]]:
+    """The unmatched cells of interval-form m, sorted."""
+    return sorted({(c, row) for c, lo, count in m.runs for row in range(lo, lo + count)})
+
+
+def dumps_with_matching(payload: dict, m: Matching) -> str:
+    """``json.dumps(dict(payload, matching=matching_to_json(m)),
+    sort_keys=True, indent=2)``, with the matching's text written apart and
+    spliced in where json.dumps puts its key."""
+    head, tail = json.dumps(dict(payload, matching=None), sort_keys=True, indent=2).split(
+        '\n  "matching": null'
+    )
+    return head + '\n  "matching": ' + _matching_text(m, "\n  ") + tail
+
+
+def _matching_text(m: Matching, nl: str) -> str:
+    """The indent=2 JSON text of ``matching_to_json(m)`` with ``nl`` as its
+    line break plus the indent of the line holding its opening brace.  An
+    interval-form matching is written from one text template per part
+    size, the part's class and rows filled in by ``%``."""
+    if m.classes is None:
+        return json.dumps(matching_to_json(m), sort_keys=True, indent=2).replace("\n", nl)
+    nl1, nl2, nl3, nl4, nl5 = (nl + "  " * k for k in range(1, 6))
+    templates = {
+        a: "{%s\"class\": %%d,%s\"rows\": [%s%s%s]%s}"
+        % (nl4, nl4, nl5, ("," + nl5).join(["%d"] * a), nl4, nl3)
+        for a in set(m.parts)
+    }
+    edges = [
+        _json_list([templates[a] % (c, *range(row, row + a)) for c, row, a in parts], nl2)
+        for parts in _edge_parts(m)
+    ]
+    vertex = "{%s\"class\": %%d,%s\"row\": %%d%s}" % (nl3, nl3, nl2)
+    unmatched = [vertex % cell for cell in _run_cells(m)]
+    return "{%s\"edges\": %s,%s\"unmatched\": %s%s}" % (
+        nl1, _json_list(edges, nl1), nl1, _json_list(unmatched, nl1), nl
+    )
+
+
+def _json_list(items: list[str], nl: str) -> str:
+    """An indent=2 JSON list of item texts, ``nl`` as for the key line."""
+    if not items:
+        return "[]"
+    return "[" + nl + "  " + ("," + nl + "  ").join(items) + nl + "]"
 
 
 def matching_from_json(obj: dict) -> Matching:

@@ -10,8 +10,8 @@ feasibility bounds derive from the same machinery.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .core import (
     Edge,
@@ -24,8 +24,7 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class FeasibleSequence:
+class FeasibleSequence(NamedTuple):
     """A monotone class profile (b_1 >= ... >= b_s) with capped overlap k.
 
     Stored truncated to s entries; entries beyond position s implicitly
@@ -162,8 +161,7 @@ def alpha_value(spec: HypergraphSpec) -> int:
     return alpha(spec)[0]
 
 
-@dataclass(frozen=True)
-class ColouringBounds:
+class ColouringBounds(NamedTuple):
     """Feasibility data for colourings where every edge must show between
     alpha_param and beta_param distinct colours."""
 

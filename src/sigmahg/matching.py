@@ -13,13 +13,14 @@ import heapq
 import itertools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .core import (
     HypergraphSpec,
     Matching,
     NoRepresentation,
+    NoSuchDesign,
+    RegimeError,
     Sigma,
     SigmaHypergraphError,
     ValidationError,
@@ -34,24 +35,14 @@ from .core import (
 Intervals = tuple[list[int], list[int]]
 
 
-class RegimeError(SigmaHypergraphError):
-    """The requested construction's parameter regime does not apply."""
-
-
-class NoSuchDesign(SigmaHypergraphError):
-    """The requested combinatorial design does not exist."""
-
-
-@dataclass(frozen=True)
-class DiagonalLatinSquare:
+class DiagonalLatinSquare(NamedTuple):
     """Square array with every symbol once per row, column and main diagonal."""
 
     order: int
     cells: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class RGoodSplit:
+class RGoodSplit(NamedTuple):
     """A split of sigma's part indices into A and B with part sums a and b
     such that gcd(a, b) = gcd(a, r) = gcd(b, r) = 1; L = lcm(a, b)."""
 
@@ -62,8 +53,7 @@ class RGoodSplit:
     L: int
 
 
-@dataclass(frozen=True)
-class MatchingReport:
+class MatchingReport(NamedTuple):
     matching: Matching
     nu: int
     unmatched_count: int
@@ -93,8 +83,7 @@ class DiagonalPart(NamedTuple):
     symbol: int  # 0-based part index; the part size is sigma.parts[symbol]
 
 
-@dataclass(frozen=True)
-class DlsFragment:
+class DlsFragment(NamedTuple):
     """Edges perfectly covering an r x s subgrid, as flat interval lists
     (see :class:`sigmahg.core.Matching`), plus the parts an exchange may
     free from them, at most one per symbol.
@@ -336,8 +325,7 @@ def rectangular_maximum_matching(spec: HypergraphSpec) -> MatchingReport:
         raise SigmaHypergraphError(
             f"internal: constructed {report.nu} edges, expected {expected}"
         )
-    return replace(
-        report,
+    return report._replace(
         strategy="rectangular",
         certificates=(
             ("nu_upper", (n * q) // r),
@@ -724,7 +712,7 @@ def r_good_maximum_matching(
     gate, build, needs = regimes[name]
     if not gate(not permissive):
         raise RegimeError(needs)
-    return replace(build(), proven=gate(True))
+    return build()._replace(proven=gate(True))
 
 
 # ---------------------------------------------------------------------------
@@ -818,4 +806,4 @@ def best_matching(spec: HypergraphSpec) -> MatchingReport:
         certs.append(("gcd_nu_upper", ceiling))
     seen = {name for name, _ in certs}
     certs.extend((k, v) for k, v in best.certificates if k not in seen)
-    return replace(best, certificates=tuple(certs))
+    return best._replace(certificates=tuple(certs))

@@ -11,34 +11,36 @@ import itertools
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
+from typing import NamedTuple
 
 from .core import (
+    BudgetExceeded,
     HypergraphSpec,
     Sigma,
-    SigmaHypergraphError,
     ValidationError,
     VertexSet,
+    _Checked,
     count_edges,
     edge_shapes,
 )
 
 
-class BudgetExceeded(SigmaHypergraphError):
-    """The search would exceed the caller's budget; no partial answer."""
-
-
-@dataclass(frozen=True)
-class OracleBudget:
+class _OracleBudgetFields(NamedTuple):
     max_vertices: int = 32
     max_edges: int = 200_000
     time_limit: float = 60.0  # seconds
 
-    def __post_init__(self) -> None:
+
+class OracleBudget(_Checked, _OracleBudgetFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "OracleBudget":
+        self = super().__new__(cls, *args, **kwargs)
         if self.max_vertices < 1 or self.max_edges < 1 or self.time_limit <= 0:
             raise ValidationError("budget limits must be positive")
+        return self
 
 
 DEFAULT_BUDGET = OracleBudget()

@@ -345,6 +345,12 @@ class TestOracleCommand:
             code, out, err = invoke(["oracle", "match", *spec_args], capsys)
             assert code == 1 and out == "", raw
             assert err == f"error: SIGMA_HYPER_BUDGET must be finite, got {raw!r}\n"
+        # finite, but the scaled limits overflow an int
+        monkeypatch.setenv("SIGMA_HYPER_BUDGET", "1e308")
+        for argv in (["oracle", "match", *spec_args], ["edges", *spec_args, "--list"]):
+            code, out, err = invoke(argv, capsys)
+            assert code == 1 and out == "", argv
+            assert err == "error: SIGMA_HYPER_BUDGET is too large, got '1e308'\n"
 
     def test_huge_malformed_arguments_give_a_short_error(self, capsys, monkeypatch):
         junk = ",".join(["x"] * 30_000)  # 60 kB
@@ -436,6 +442,53 @@ class TestPlumbing:
         proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_each_subcommand_loads_only_its_modules(self):
+        # a call imports the submodules its subcommand uses and nothing of
+        # dataclasses or inspect; the child reports its exit code and the
+        # modules it loaded on stderr
+        child = (
+            "import json, runpy, sys\n"
+            "sys.argv = ['sigmahg', *json.loads(sys.argv[1])]\n"
+            "try:\n"
+            "    runpy.run_module('sigmahg', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            "loaded = [m for m in sys.modules if m.startswith('sigmahg')\n"
+            "          or m in ('dataclasses', 'inspect')]\n"
+            "sys.stderr.write(json.dumps([code, sorted(loaded)]))\n"
+        )
+        spec = ["--n", "5", "--q", "3", "--sigma", "2,1"]
+        base = {"sigmahg", "sigmahg.cli", "sigmahg.core"}
+        cases = [
+            (["alpha", *spec, "--k", "1"], 0, {"sigmahg.independence"}),
+            (["alpha-closed", *spec], 0, {"sigmahg.independence"}),
+            (["bounds", *spec, "--alpha", "1", "--beta", "2"], 0, {"sigmahg.independence"}),
+            (["sweep", "--paper-example", "--n-max", "3", "--q-max", "4"], 0,
+             {"sigmahg.independence"}),
+            (["match", *spec, "--emit", "--format", "json"], 0, {"sigmahg.matching"}),
+            (["verify", *spec, "--matching", "-"], 4, set()),
+            (["edges", *spec, "--list"], 0, set()),
+            (["oracle", "match", *spec], 0, {"sigmahg.oracle"}),
+        ]
+        for argv, code, extra in cases:
+            proc = subprocess.run(
+                [sys.executable, "-c", child, json.dumps(argv)],
+                input='{"edges": [], "unmatched": []}',
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 0, (argv, proc.stderr)
+            assert json.loads(proc.stderr) == [code, sorted(base | extra)], argv
+        # a bare import loads no submodule; reading one as an attribute does
+        bare = (
+            "import json, sys, sigmahg\n"
+            "before = [m for m in sys.modules if m.startswith('sigmahg')]\n"
+            "sigmahg.matching.best_matching\n"
+            "print(json.dumps([before, sorted(m for m in sys.modules if m.startswith('sigmahg'))]))"
+        )
+        proc = subprocess.run([sys.executable, "-c", bare], capture_output=True, text=True)
+        assert json.loads(proc.stdout) == [["sigmahg"], ["sigmahg", "sigmahg.core", "sigmahg.matching"]]
 
     def test_console_entry_point(self):
         proc = subprocess.run(

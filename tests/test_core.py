@@ -1,7 +1,10 @@
+import functools
 import itertools
 import json
 import math
+import pickle
 import random
+import sys
 
 import pytest
 
@@ -322,6 +325,19 @@ class TestJsonCodecs:
         blob = json.dumps(core.matching_to_json(m))
         assert core.matching_from_json(json.loads(blob)) == m
 
+    def test_dumps_with_matching_is_json_dumps(self):
+        # both forms, with and without edges and unmatched vertices
+        from sigmahg.matching import greedy_matching
+
+        for spec in small_specs(max_r=4, max_n=5, max_q=5):
+            interval = greedy_matching(spec)
+            for m in (interval, Matching(interval.edges, interval.unmatched)):
+                payload = {"spec": core.spec_to_json(spec), "nu": m.size, "zz": [1, {"a": 2}]}
+                expected = dict(payload, matching=core.matching_to_json(m))
+                assert core.dumps_with_matching(payload, m) == json.dumps(
+                    expected, sort_keys=True, indent=2
+                ), spec
+
     def test_malformed_inputs_raise(self):
         with pytest.raises(ValidationError):
             core.spec_from_json({"n": 3})
@@ -372,3 +388,130 @@ class TestEdgeContainer:
         e = make_edge([(3, {1}), (1, {1, 2, 3}), (2, {4, 5})])
         assert e.sizes() == (3, 2, 1)
         assert e.size() == 6
+
+
+PUBLIC_NAMES = """
+    BudgetExceeded ColouringBounds DiagonalLatinSquare Edge FeasibleSequence HypergraphSpec
+    Matching MatchingReport NoEdges NoRepresentation NoSuchDesign OracleBudget RGoodSplit
+    RegimeError Sigma SigmaHypergraphError ValidationError VerificationReport Vertex VertexSet
+    all_ones_maximum_matching alpha alpha_k alpha_k_witness alpha_value best_matching
+    bf_alpha_k bf_colouring_spectrum bf_max_intersection bf_max_matching canonicalize
+    colouring_bounds contract count_edges diagonal_perfect_matching dls_matching
+    enumerate_edges enumerate_maximal_feasible expand find_r_good_split frobenius_decompose
+    gcd_unmatched_lower_bound generate_dls greedy_matching is_edge is_k_independent make_edge
+    make_spec max_intersection_edge packing_matching r_good_maximum_matching
+    rectangular_maximum_matching verify_matching
+""".split()
+
+
+class TestPackage:
+    def test_public_names_resolve_to_their_submodule_objects(self):
+        import sigmahg
+
+        assert sorted(sigmahg.__all__) == sorted(PUBLIC_NAMES)
+        listed = dir(sigmahg)
+        for name in sigmahg.__all__:
+            value = getattr(sigmahg, name)
+            assert value.__module__.startswith("sigmahg."), name
+            assert getattr(sys.modules[value.__module__], name) is value, name
+            assert name in listed, name
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from sigmahg import *", namespace)
+        import sigmahg
+
+        for name in sigmahg.__all__:
+            assert namespace[name] is getattr(sigmahg, name), name
+
+    def test_unknown_names_and_submodules(self):
+        import sigmahg
+
+        with pytest.raises(AttributeError):
+            sigmahg.no_such_name
+        from sigmahg import independence, matching, oracle
+
+        assert sigmahg.matching is matching and sigmahg.independence is independence
+        assert matching.RegimeError is core.RegimeError
+        assert matching.NoSuchDesign is core.NoSuchDesign
+        assert oracle.BudgetExceeded is core.BudgetExceeded
+
+
+def one_of_each_record():
+    """An instance of every record type."""
+    from sigmahg import independence, matching, oracle
+
+    spec = make_spec(6, 6, [3, 2, 1])
+    report = verify_matching(spec, Matching((), VertexSet.of([(1, 1)])))
+    return [
+        spec.sigma,
+        spec,
+        make_edge([(2, {1, 2}), (1, {3})]),
+        VertexSet.of([(1, 1), (2, 3)]),
+        report.violations[0],
+        report,
+        matching.generate_dls(4),
+        matching.find_r_good_split(spec.sigma),
+        matching.best_matching(spec),
+        matching.DlsFragment((1, 2), (1, 1), (matching.DiagonalPart(0, 1),)),
+        oracle.OracleBudget(),
+        independence.enumerate_maximal_feasible(6, 2, spec.sigma)[0],
+        independence.colouring_bounds(spec, 1, 2),
+    ]
+
+
+class TestRecords:
+    def test_immutable_and_hashable(self):
+        records = one_of_each_record()
+        assert len({type(r) for r in records}) == 13
+        for record in records:
+            assert isinstance(record, tuple), type(record)
+            for field in record._fields:
+                with pytest.raises(AttributeError):
+                    setattr(record, field, getattr(record, field))
+            with pytest.raises(AttributeError):
+                record.extra = 1
+            hash(record)
+
+    def test_copies_are_equal_cache_keys(self):
+        calls = []
+
+        @functools.lru_cache(maxsize=None)
+        def seen(record):
+            calls.append(record)
+            return len(calls)
+
+        for record in one_of_each_record():
+            copy = pickle.loads(pickle.dumps(record))
+            assert copy == record and copy is not record and type(copy) is type(record)
+            assert seen(record) == seen(copy) == len(calls)
+        assert seen.cache_info().hits == 13
+
+    def test_validation_messages(self):
+        from sigmahg.oracle import OracleBudget
+
+        cases = [
+            (lambda: core.Sigma(()), "sigma needs at least one part"),
+            (lambda: core.Sigma(("x",)), "sigma parts must be integers: ('x',)"),
+            (lambda: core.Sigma((2, 0)), "sigma parts must be positive: (2, 0)"),
+            (lambda: make_spec(0, 3, [1]), "need n >= 1 and q >= 1, got n=0, q=3"),
+            (lambda: make_spec(2, 3, [1])._replace(q=0), "need n >= 1 and q >= 1, got n=2, q=0"),
+            (lambda: Edge(()), "edge needs at least one part"),
+            (lambda: make_edge([(1, ())]), "edge part with empty row set"),
+            (lambda: make_edge([(0, {1})]), "class and row indices are 1-based positive integers"),
+            (lambda: OracleBudget(max_edges=0), "budget limits must be positive"),
+            (lambda: OracleBudget()._replace(time_limit=0.0), "budget limits must be positive"),
+        ]
+        for build, message in cases:
+            with pytest.raises(ValidationError) as exc:
+                build()
+            assert str(exc.value) == message
+
+    def test_records_normalise_and_equal_plain_tuples(self):
+        assert core.Sigma([1, 3, 2]).parts == (3, 2, 1)
+        assert make_spec(4, 5, [1, 2]) == (4, 5, ((2, 1),))
+        edge = make_edge([(3, [2]), (1, [1, 2])])
+        assert edge.parts == ((1, frozenset({1, 2})), (3, frozenset({2})))
+        assert edge._replace(parts=[(2, [1])]).parts == ((2, frozenset({1})),)
+        assert VertexSet() == VertexSet(set()) == (frozenset(),)
+        assert VertexSet([(1, 2)]).members == frozenset({(1, 2)})

@@ -2,8 +2,9 @@
 verifies and meets its certificates, output is deterministic, nu never
 exceeds the exact optimum, and the interval form every construction emits
 reads, verifies and encodes exactly as the row-set form of the same edges.
-A fuzz of the CLI's JSON inputs checks that malformed files end in an exit
-code, never a traceback."""
+The CLI's emitted matching is byte for byte json.dumps of the library's
+report.  A fuzz of the CLI's JSON inputs checks that malformed files end in
+an exit code, never a traceback."""
 
 import contextlib
 import io
@@ -12,7 +13,7 @@ import math
 import os
 import tempfile
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sigmahg.cli import run
@@ -23,6 +24,7 @@ from sigmahg.core import (
     make_edge,
     make_spec,
     matching_to_json,
+    spec_to_json,
     verify_matching,
 )
 from sigmahg.matching import (
@@ -166,6 +168,45 @@ def test_nu_never_exceeds_the_exact_maximum(n, q, parts):
         return
     for name, rep in strategy_reports(spec):
         assert rep.nu <= exact, (spec, name)
+
+
+CLI_STRATEGIES = {
+    "auto": ["--strategy", "auto"],
+    "diagonal": ["--strategy", "diagonal"],
+    "rectangular": ["--strategy", "rectangular"],
+    "rgood": ["--strategy", "rgood"],
+    "rgood-permissive": ["--strategy", "rgood", "--permissive"],
+    "greedy": ["--strategy", "greedy"],
+}
+
+
+def run_cli(argv):
+    """Exit code, stdout and stderr of ``cli.run(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@DETERMINISTIC
+@example(make_spec(2, 5, [2, 1, 1]))  # fewer classes than parts: no edge
+@example(make_spec(6, 6, [3, 2, 1]))  # r | q: a perfect matching
+@given(specs)
+def test_emitted_matching_is_json_dumps_of_the_report(spec):
+    # the emitted text is written from templates, not by json.dumps
+    spec_args = ["--n", str(spec.n), "--q", str(spec.q)]
+    spec_args += ["--sigma", ",".join(map(str, spec.sigma.parts))]
+    reports = dict(strategy_reports(spec))
+    for name, flags in CLI_STRATEGIES.items():
+        code, out, err = run_cli(["match", *spec_args, *flags, "--emit", "--format", "json"])
+        if name not in reports:
+            assert code == 2 and out == "", (spec, name, err)
+            continue
+        rep = reports[name]
+        payload = {"spec": spec_to_json(spec), **report_to_json(rep)}
+        payload["matching"] = matching_to_json(rep.matching)
+        assert code == 0, (spec, name, err)
+        assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n", (spec, name)
 
 
 # Numbers are small or at least 2**63: a well-formed spec then either keeps
