@@ -435,21 +435,19 @@ def frobenius_decompose(target: int, u: int, v: int) -> tuple[int, int]:
 
     Requires coprime u, v >= 1.  Succeeds for every target at or above
     (u-1)(v-1); below that a representation may not exist, in which case
-    NoRepresentation is raised.  The greedy descent on x makes the result
-    reproducible bit-for-bit.
+    NoRepresentation is raised.  v divides target - x*u exactly when
+    x = target * u^-1 (mod v), so x is the largest such value at most
+    target // u.
     """
     if u < 1 or v < 1:
         raise ValidationError(f"need u, v >= 1, got u={u}, v={v}")
     if math.gcd(u, v) != 1:
         raise ValidationError(f"u={u} and v={v} are not coprime")
-    if target >= 0:
-        x = target // u
-        while x >= 0:
-            rem = target - x * u
-            if rem % v == 0:
-                return x, rem // v
-            x -= 1
-    raise NoRepresentation(f"{target} is not a nonnegative combination of {u} and {v}")
+    x = target // u
+    x -= (x - target * pow(u, -1, v)) % v
+    if x < 0:
+        raise NoRepresentation(f"{target} is not a nonnegative combination of {u} and {v}")
+    return x, (target - x * u) // v
 
 
 class Violation(NamedTuple):

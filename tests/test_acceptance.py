@@ -15,7 +15,7 @@ from sigmahg.matching import (
     rectangular_maximum_matching,
 )
 from sigmahg.core import NoRepresentation, frobenius_decompose
-from sigmahg.matching import NoSuchDesign
+from sigmahg.matching import NoSuchDesign, _rgood_residue
 from sigmahg.oracle import OracleBudget, bf_alpha_k, bf_colouring_spectrum, bf_max_matching
 
 from conftest import partitions
@@ -131,7 +131,7 @@ def test_criterion_6_slack_bounds():
     assert rep.unmatched_count <= 16, (rep.strategy, rep.unmatched_count)
     assert verify_matching(spec, rep.matching).ok
     # the same bound through the exchange construction itself
-    forced = r_good_maximum_matching(spec, force_regime="3")
+    forced = _rgood_residue(spec, find_r_good_split(spec.sigma), exchange=True)
     assert forced.unmatched_count <= 16, forced.unmatched_count
     assert verify_matching(spec, forced.matching).ok
     report(6, time.monotonic() - start, 60, f"{checked}+1 instances within slack bounds")

@@ -1,7 +1,9 @@
+import ast
 import functools
 import itertools
 import json
 import math
+import pathlib
 import pickle
 import random
 import sys
@@ -170,7 +172,34 @@ class TestEdgeShapes:
         assert list(dict.fromkeys(stream)) == list(edge_shapes(spec))
 
 
+def reference_frobenius_decompose(target, u, v):
+    """The descent on x that frobenius_decompose replaced by its closed
+    form: try x = target // u, target // u - 1, ... down to 0."""
+    x = target // u
+    while x >= 0:
+        rem = target - x * u
+        if rem % v == 0:
+            return x, rem // v
+        x -= 1
+    raise NoRepresentation(f"{target} is not a nonnegative combination of {u} and {v}")
+
+
 class TestFrobenius:
+    def test_matches_descent_reference(self):
+        for u in range(1, 31):
+            for v in range(1, 31):
+                if math.gcd(u, v) != 1:
+                    continue
+                for target in range(-3, 500):
+                    try:
+                        expected = reference_frobenius_decompose(target, u, v)
+                    except NoRepresentation as exc:
+                        with pytest.raises(NoRepresentation) as err:
+                            frobenius_decompose(target, u, v)
+                        assert str(err.value) == str(exc)
+                        continue
+                    assert frobenius_decompose(target, u, v) == expected, (target, u, v)
+
     def test_direct_multiple(self):
         assert frobenius_decompose(6, 3, 4) == (2, 0)
 
@@ -405,6 +434,20 @@ PUBLIC_NAMES = """
 
 
 class TestPackage:
+    def test_readme_library_example_runs(self):
+        # every check the example shows (a line ending in .ok) holds
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        namespace = {}
+        exec(block, namespace)
+        checks = [
+            stmt for stmt in ast.parse(block).body
+            if isinstance(stmt, ast.Expr) and ast.unparse(stmt).endswith(".ok")
+        ]
+        assert checks
+        for stmt in checks:
+            assert eval(ast.unparse(stmt), namespace) is True, ast.unparse(stmt)
+
     def test_public_names_resolve_to_their_submodule_objects(self):
         import sigmahg
 

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from sigmahg import core
+from sigmahg import core, matching
 from sigmahg.core import (
     Edge,
     Matching,
@@ -21,6 +21,8 @@ from sigmahg.matching import (
     NoSuchDesign,
     RegimeError,
     RGoodSplit,
+    _greedy_choices,
+    _rgood_residue,
     all_ones_maximum_matching,
     best_matching,
     canonicalize,
@@ -590,10 +592,20 @@ class TestRGoodRegimes:
         spec = make_spec(13, 150, [2, 2, 1])
         auto = r_good_maximum_matching(spec)
         assert auto.strategy == "diagonal" and auto.unmatched_count == 0
-        forced = r_good_maximum_matching(spec, force_regime="3")
+        forced = _rgood_residue(spec, find_r_good_split(spec.sigma), exchange=True)
         assert forced.strategy == "rgood-3"
         assert forced.unmatched_count <= 16
         assert verify_matching(spec, forced.matching).ok
+
+    def test_exchange_capacity_checked_before_any_edge(self, monkeypatch):
+        # (5, 7, (2, 1)) permissive: p*b = 1*2 corner groups, f*full = 1*1 blocks
+        def refuse(*args):
+            raise AssertionError("an edge was laid before the capacity check")
+
+        monkeypatch.setattr(matching, "_band", refuse)
+        with pytest.raises(RegimeError) as err:
+            r_good_maximum_matching(make_spec(5, 7, [2, 1]), permissive=True)
+        assert str(err.value) == "corner absorption needs 2 exchange blocks, only 1 available"
 
     def test_not_r_good_rejected(self):
         with pytest.raises(RegimeError):
@@ -652,6 +664,43 @@ class TestGreedyAndBest:
             assert got == want, spec
             assert report_to_json(got) == report_to_json(want), spec
             assert core.matching_to_json(got.matching) == core.matching_to_json(want.matching)
+
+    def test_greedy_choices_survive_contraction(self):
+        # with every part a multiple of d, each class's free rows stay
+        # = q (mod d); best_matching skips greedy on d >= 2 because of this
+        for r in range(2, 9):
+            for parts in partitions(r):
+                d = math.gcd(*parts)
+                if d < 2:
+                    continue
+                for n in range(1, 9):
+                    for q in range(d, 26):
+                        spec = make_spec(n, q, parts)
+                        assert _greedy_choices(spec) == _greedy_choices(contract(spec)[0]), spec
+
+    def test_gcd_route_tries_neither_rgood_nor_greedy(self, monkeypatch):
+        calls = []
+        for name in ("find_r_good_split", "_greedy_choices"):
+
+            def spy(arg, name=name, real=getattr(matching, name)):
+                calls.append((name, (arg if name == "find_r_good_split" else arg.sigma).d))
+                return real(arg)
+
+            monkeypatch.setattr(matching, name, spy)
+        for r in range(2, 7):
+            for parts in partitions(r):
+                d = math.gcd(*parts)
+                if d < 2:
+                    continue
+                for n in range(1, 8):
+                    for q in range(1, 13):
+                        calls.clear()
+                        best_matching(make_spec(n, q, parts))
+                        outer = [name for name, gcd in calls if gcd >= 2]
+                        if q >= d:
+                            assert outer == [], (n, q, parts, outer)
+                        else:  # no candidate: greedy reports the empty matching
+                            assert outer == ["_greedy_choices"], (n, q, parts, outer)
 
     def test_divisible_height_is_perfect(self):
         rep = best_matching(make_spec(3, 3, [2, 1]))
