@@ -9,6 +9,7 @@ re-check the output with :func:`sigmahg.core.verify_matching`.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import itertools
 import math
@@ -647,7 +648,8 @@ def r_good_maximum_matching(spec: HypergraphSpec, permissive: bool = False) -> M
     ``permissive=True``, the only option, relaxes the height gates of
     regimes 3 and 2 down to what the construction mechanically needs,
     (L-1)(r-1), marking the report as an unproven regime when q is below
-    the stated threshold.
+    the stated threshold; regime 3 is then taken only when its exchange
+    blocks suffice for the corner columns, as at q >= L(r^2-1) they do.
     """
     sigma = spec.sigma
     r, s, n, q = sigma.r, sigma.s, spec.n, spec.q
@@ -670,7 +672,8 @@ def r_good_maximum_matching(spec: HypergraphSpec, permissive: bool = False) -> M
         m = Matching.from_intervals(sigma.parts, *out)
         return MatchingReport.of(spec, m, "rgood-1b", (("nu_upper", n * q // r),))
     if n >= s + r and q >= (base_height if permissive else L * (r * r - 1)):
-        return _rgood_residue(spec, split, exchange=True)
+        with contextlib.suppress(RegimeError):  # too few exchange blocks: regime 2 builds
+            return _rgood_residue(spec, split, exchange=True)
     if n >= s and q >= (base_height if permissive else L * (r - 1)):
         return _rgood_residue(spec, split, exchange=False)
     raise RegimeError(

@@ -124,52 +124,35 @@ def bf_max_matching(
     Rows within a class are interchangeable, so a family of edges can be
     packed iff the per-class totals of their part placements fit within q;
     the search therefore recurses over the sorted vector of remaining
-    class capacities, trying every distinct placement of sigma, and
-    memoises states.  Exhaustive, just without re-deriving row identities.
+    class capacities, streams the ``edge_shapes`` of its prefix that can
+    still host a part, checking the time limit every 4096, and memoises
+    states.  Exhaustive, just without re-deriving row identities.
     """
     if not spec.has_edges:
         return 0
     _check_vertices(spec, budget, "bf_max_matching")
     deadline = _Deadline(budget.time_limit)
-    parts = spec.sigma.parts
-    distinct = sorted(set(parts), reverse=True)
-    multiplicity = {v: parts.count(v) for v in distinct}
-    n = spec.n
-
-    def placements(state: tuple[int, ...]):
-        """Distinct next states after removing one edge's worth of rows."""
-        results: set[tuple[int, ...]] = set()
-
-        def assign(size_idx: int, loads: list[int], used: frozenset[int]) -> None:
-            if size_idx == len(distinct):
-                results.add(tuple(sorted(loads, reverse=True)))
-                return
-            size = distinct[size_idx]
-            free = [i for i in range(n) if i not in used and loads[i] >= size]
-            for combo in itertools.combinations(free, multiplicity[size]):
-                for i in combo:
-                    loads[i] -= size
-                assign(size_idx + 1, loads, used | frozenset(combo))
-                for i in combo:
-                    loads[i] += size
-
-        assign(0, list(state), frozenset())
-        return results
-
+    q, sigma, smallest = spec.q, spec.sigma, spec.sigma.parts[-1]
     memo: dict[tuple[int, ...], int] = {}
 
     def best(state: tuple[int, ...]) -> int:
-        cached = memo.get(state)
-        if cached is not None:
-            return cached
-        deadline.check("bf_max_matching")
-        value = 0
-        for nxt in sorted(placements(state), reverse=True):
-            value = max(value, 1 + best(nxt))
-        memo[state] = value
-        return value
+        if state in memo:
+            return memo[state]
+        usable = sum(load >= smallest for load in state)
+        nexts = set()
+        shapes = edge_shapes(HypergraphSpec(usable, q, sigma)) if usable else ()
+        for i, (classes, sizes) in enumerate(shapes):
+            if i % 4096 == 0:
+                deadline.check("bf_max_matching")
+            loads = list(state)
+            for c, a in zip(classes, sizes):
+                loads[c - 1] -= a
+            if min(loads) >= 0:
+                nexts.add(tuple(sorted(loads, reverse=True)))
+        memo[state] = max(map(best, nexts), default=-1) + 1
+        return memo[state]
 
-    return best((spec.q,) * n)
+    return best((q,) * spec.n)
 
 
 def _bell(m: int) -> int:

@@ -602,10 +602,36 @@ class TestRGoodRegimes:
         def refuse(*args):
             raise AssertionError("an edge was laid before the capacity check")
 
+        spec = make_spec(5, 7, [2, 1])
         monkeypatch.setattr(matching, "_band", refuse)
         with pytest.raises(RegimeError) as err:
-            r_good_maximum_matching(make_spec(5, 7, [2, 1]), permissive=True)
+            _rgood_residue(spec, find_r_good_split(spec.sigma), exchange=True)
         assert str(err.value) == "corner absorption needs 2 exchange blocks, only 1 available"
+
+    def test_permissive_falls_back_to_regime_2_when_exchange_runs_short(self):
+        spec = make_spec(5, 7, [2, 1])
+        rep = r_good_maximum_matching(spec, permissive=True)
+        assert rep.strategy == "rgood-2" and rep.proven
+        assert rep == r_good_maximum_matching(spec)
+        assert verify_matching(spec, rep.matching).ok
+
+    def test_permissive_builds_wherever_strict_does(self):
+        for r in range(2, 6):
+            for parts in partitions(r):
+                if len(parts) < 2 or find_r_good_split(core.Sigma(parts)) is None:
+                    continue
+                for n, q in itertools.product(range(1, 11), range(1, 17)):
+                    spec = make_spec(n, q, parts)
+                    try:
+                        strict = r_good_maximum_matching(spec)
+                    except RegimeError:
+                        strict = None
+                    try:
+                        loose = r_good_maximum_matching(spec, permissive=True)
+                    except RegimeError as err:
+                        assert strict is None and "corner" not in str(err), spec
+                        continue
+                    assert verify_matching(spec, loose.matching).ok, spec
 
     def test_not_r_good_rejected(self):
         with pytest.raises(RegimeError):

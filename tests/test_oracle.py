@@ -3,6 +3,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import subprocess
+import sys
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -109,6 +111,47 @@ def _bb_max_matching_edges(spec: HypergraphSpec, max_edges: int = 2000) -> int:
     return best
 
 
+def reference_max_matching(spec: HypergraphSpec) -> int:
+    """Maximum matching size by the memoised search over sorted class
+    capacities, placing each distinct size's parts in turn on unused
+    classes with room for them."""
+    if not spec.has_edges:
+        return 0
+    parts = spec.sigma.parts
+    distinct = sorted(set(parts), reverse=True)
+    multiplicity = {v: parts.count(v) for v in distinct}
+    n = spec.n
+
+    def placements(state: tuple[int, ...]):
+        """Distinct next states after removing one edge's worth of rows."""
+        results: set[tuple[int, ...]] = set()
+
+        def assign(size_idx: int, loads: list[int], used: frozenset[int]) -> None:
+            if size_idx == len(distinct):
+                results.add(tuple(sorted(loads, reverse=True)))
+                return
+            size = distinct[size_idx]
+            free = [i for i in range(n) if i not in used and loads[i] >= size]
+            for combo in itertools.combinations(free, multiplicity[size]):
+                for i in combo:
+                    loads[i] -= size
+                assign(size_idx + 1, loads, used | frozenset(combo))
+                for i in combo:
+                    loads[i] += size
+
+        assign(0, list(state), frozenset())
+        return results
+
+    memo: dict[tuple[int, ...], int] = {}
+
+    def best(state: tuple[int, ...]) -> int:
+        if state not in memo:
+            memo[state] = max((1 + best(nxt) for nxt in placements(state)), default=0)
+        return memo[state]
+
+    return best((spec.q,) * n)
+
+
 @lru_cache(maxsize=8)
 def _set_partitions(m: int) -> np.ndarray:
     """All set partitions of {0..m-1} as restricted-growth strings."""
@@ -155,14 +198,28 @@ def _colouring_summary(
 
 def reference_profile_overlap_table(n, q, parts):
     """The overlap table by trying all n!/(n-s)! placements, equal parts
-    in every order."""
+    in every order: with numpy, a chunk of profiles against every
+    placement at once, else one profile at a time."""
     placements = list(itertools.permutations(range(n), len(parts)))
-    table = []
-    for profile in _monotone_profiles(n, q):
+    profiles = list(_monotone_profiles(n, q))
+    try:
+        import numpy as np
+    except ImportError:
         # sum(min(a, profile[c]) for a, c in zip(parts, placement)), in C
-        worst = max(sum(map(min, parts, map(profile.__getitem__, pl))) for pl in placements)
-        table.append((sum(profile), worst))
-    return tuple(table)
+        worst = [
+            max(sum(map(min, parts, map(profile.__getitem__, pl))) for pl in placements)
+            for profile in profiles
+        ]
+    else:
+        columns = np.array(placements).T  # row j: the class of part j in each placement
+        grid = np.array(profiles)
+        step = max(1, 2**18 // len(placements))
+        worst = []
+        for lo in range(0, len(grid), step):
+            chunk = grid[lo : lo + step]
+            overlaps = sum(np.minimum(chunk, a)[:, cols] for a, cols in zip(parts, columns))
+            worst += overlaps.max(axis=1).tolist()
+    return tuple(zip(map(sum, profiles), worst))
 
 
 def reference_max_intersection(spec, b_sets):
@@ -285,6 +342,29 @@ class TestBfMaxMatching:
         tight = OracleBudget(max_vertices=5, max_edges=10, time_limit=60)
         with pytest.raises(BudgetExceeded):
             bf_max_matching(make_spec(3, 3, [2, 1]), tight)
+
+    def test_matches_reference_search_on_desk(self):
+        for spec in desk_specs():
+            assert bf_max_matching(spec) == reference_max_matching(spec), spec
+
+    def test_deadline_holds_inside_a_state(self):
+        # the first state alone has C(28, 14) = 40,116,600 placements
+        code = (
+            "import time\n"
+            "from sigmahg.core import make_spec\n"
+            "from sigmahg.oracle import BudgetExceeded, OracleBudget, bf_max_matching\n"
+            "start = time.monotonic()\n"
+            "try:\n"
+            "    bf_max_matching(make_spec(28, 1, [1] * 14), OracleBudget(32, 200_000, 0.5))\n"
+            "except BudgetExceeded:\n"
+            "    print(time.monotonic() - start)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=30
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout, "no BudgetExceeded"
+        assert float(proc.stdout) < 5
 
 
 class TestBfColouringSpectrum:
