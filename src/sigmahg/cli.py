@@ -197,7 +197,7 @@ def _cmd_match(args: argparse.Namespace) -> int:
     elif args.strategy == "rectangular":
         report = matching.rectangular_maximum_matching(spec)
     elif args.strategy == "rgood":
-        report = matching.r_good_maximum_matching(spec, permissive=args.permissive)
+        report = matching.r_good_maximum_matching(spec)
     else:
         report = matching.MatchingReport.of(spec, matching.greedy_matching(spec), "greedy")
     payload = {"spec": core.spec_to_json(spec)}
@@ -334,7 +334,6 @@ def build_parser() -> _Parser:
         choices=("auto", "diagonal", "rectangular", "rgood", "greedy"),
         default="auto",
     )
-    p.add_argument("--permissive", action="store_true")
     p.add_argument("--emit", action="store_true", help="include the full matching")
     p.set_defaults(func=_cmd_match)
 
@@ -343,7 +342,6 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("edges", parents=[parent], help="edge census")
-    p.add_argument("--count", action="store_true", default=True)
     p.add_argument("--list", action="store_true")
     p.set_defaults(func=_cmd_edges)
 

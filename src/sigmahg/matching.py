@@ -628,7 +628,7 @@ def _rgood_residue(spec: HypergraphSpec, split: RGoodSplit, exchange: bool) -> M
     return report
 
 
-def r_good_maximum_matching(spec: HypergraphSpec, permissive: bool = False) -> MatchingReport:
+def r_good_maximum_matching(spec: HypergraphSpec) -> MatchingReport:
     """Build the strongest r-good construction whose gate holds.
 
     Regimes, strongest first:
@@ -637,19 +637,17 @@ def r_good_maximum_matching(spec: HypergraphSpec, permissive: bool = False) -> M
               :func:`diagonal_perfect_matching`, reported as ``diagonal``;
               perfect.
     * ``1b``  r | n and q = x*L + y*r: packed plus shifted bands; perfect.
-    * ``3``   q >= L(r^2-1) and n >= s+r: stacked strips built from
-              exchangeable square blocks (diagonal-Latin-square blocks, or
-              pair blocks when s = 2), packed residue, then corner columns
-              absorbed r vertices at a time; at most (r-1)^2 unmatched.
-    * ``2``   q >= L(r-1) and n >= s: stacked strips plus packed residue
-              over the widest r-divisible prefix; at most L(r-1)^2
-              unmatched.
+    * ``3``   n >= s+r: stacked strips built from exchangeable square
+              blocks (diagonal-Latin-square blocks, or pair blocks when
+              s = 2), packed residue, then corner columns absorbed r
+              vertices at a time; at most (r-1)^2 unmatched.  Skipped
+              when its exchange blocks run short, never at q >= L(r^2-1).
+    * ``2``   n >= s: stacked strips plus packed residue over the widest
+              r-divisible prefix; at most L(r-1)^2 unmatched.
 
-    ``permissive=True``, the only option, relaxes the height gates of
-    regimes 3 and 2 down to what the construction mechanically needs,
-    (L-1)(r-1), marking the report as an unproven regime when q is below
-    the stated threshold; regime 3 is then taken only when its exchange
-    blocks suffice for the corner columns, as at q >= L(r^2-1) they do.
+    Both build from q >= (L-1)(r-1), the least height the packed residue
+    needs.  Below L(r^2-1) and L(r-1), where the paper proves them, the
+    report is marked unproven; its unmatched bound is checked all the same.
     """
     sigma = spec.sigma
     r, s, n, q = sigma.r, sigma.s, spec.n, spec.q
@@ -659,7 +657,6 @@ def r_good_maximum_matching(spec: HypergraphSpec, permissive: bool = False) -> M
     if not spec.has_edges:
         raise RegimeError(f"{spec} has no edges")
     L = split.L
-    base_height = (L - 1) * (r - 1)
     if q % r == 0 and n >= s:
         return MatchingReport.of(
             spec, diagonal_perfect_matching(spec), "diagonal", (("nu_upper", n * q // r),)
@@ -671,16 +668,14 @@ def r_good_maximum_matching(spec: HypergraphSpec, permissive: bool = False) -> M
         _perfect_width_bands(out, spec, split, q, 0, n)
         m = Matching.from_intervals(sigma.parts, *out)
         return MatchingReport.of(spec, m, "rgood-1b", (("nu_upper", n * q // r),))
-    if n >= s + r and q >= (base_height if permissive else L * (r * r - 1)):
-        with contextlib.suppress(RegimeError):  # too few exchange blocks: regime 2 builds
-            return _rgood_residue(spec, split, exchange=True)
-    if n >= s and q >= (base_height if permissive else L * (r - 1)):
+    if n >= s and q >= (L - 1) * (r - 1):
+        if n >= s + r:
+            with contextlib.suppress(RegimeError):  # too few exchange blocks: regime 2 builds
+                return _rgood_residue(spec, split, exchange=True)
         return _rgood_residue(spec, split, exchange=False)
     raise RegimeError(
-        f"no r-good regime applies to {spec} (L={L}): need r|q, or r|n with "
-        f"q = x*{L} + y*{r}, or q >= {L * (r - 1)} (strongest augmented regime "
-        f"additionally needs q >= {L * (r * r - 1)} and n >= {s + r}); "
-        f"got q={q}, n={n}"
+        f"no r-good regime applies to {spec} (L={L}): need r|q, or r|n with q = x*{L} + "
+        f"y*{r}, or n >= {s} and q >= {(L - 1) * (r - 1)}; got q={q}, n={n}"
     )
 
 

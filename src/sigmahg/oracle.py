@@ -62,6 +62,16 @@ def _check_vertices(spec: HypergraphSpec, budget: OracleBudget, what: str) -> No
         )
 
 
+def _check_placements(spec: HypergraphSpec, budget: OracleBudget, what: str) -> None:
+    placements = math.perm(spec.n, spec.sigma.s)
+    for mult in Counter(spec.sigma.parts).values():
+        placements //= math.factorial(mult)
+    if placements > budget.max_edges:
+        raise BudgetExceeded(
+            f"{what}: {placements} distinct part placements exceeds budget {budget.max_edges}"
+        )
+
+
 def _monotone_profiles(n: int, q: int):
     """All weakly decreasing tuples in [0..q]^n, lexicographically from the top."""
     return itertools.combinations_with_replacement(range(q, -1, -1), n)
@@ -105,13 +115,7 @@ def bf_alpha_k(
     if not spec.has_edges:
         return spec.num_vertices
     _check_vertices(spec, budget, "bf_alpha_k")
-    placements = math.perm(spec.n, spec.sigma.s)
-    for mult in Counter(spec.sigma.parts).values():
-        placements //= math.factorial(mult)
-    if placements > budget.max_edges:
-        raise BudgetExceeded(
-            f"bf_alpha_k: {placements} distinct part placements exceeds budget {budget.max_edges}"
-        )
+    _check_placements(spec, budget, "bf_alpha_k")
     table = _profile_overlap_table(spec.n, spec.q, spec.sigma.parts, budget.time_limit)
     return max(total for total, worst in table if worst <= k)
 
@@ -126,11 +130,13 @@ def bf_max_matching(
     the search therefore recurses over the sorted vector of remaining
     class capacities, streams the ``edge_shapes`` of its prefix that can
     still host a part, checking the time limit every 4096, and memoises
-    states.  Exhaustive, just without re-deriving row identities.
+    states.  Exhaustive, just without re-deriving row identities.  The first
+    state's placements, the most of any, are checked as in :func:`bf_alpha_k`.
     """
     if not spec.has_edges:
         return 0
     _check_vertices(spec, budget, "bf_max_matching")
+    _check_placements(spec, budget, "bf_max_matching")
     deadline = _Deadline(budget.time_limit)
     q, sigma, smallest = spec.q, spec.sigma, spec.sigma.parts[-1]
     memo: dict[tuple[int, ...], int] = {}

@@ -121,16 +121,14 @@ class TestMatchCommand:
         assert code == 2
 
     def test_permissive_flag_surfaces(self, capsys):
-        code, payload, _ = invoke_json(
-            [
-                "match",
-                "--n", "4", "--q", "13", "--sigma", "2,2,1",
-                "--strategy", "rgood", "--permissive",
-            ],
-            capsys,
-        )
+        # rgood builds below the paper's height threshold and says so; no
+        # option selects a stricter gate
+        argv = ["match", "--n", "4", "--q", "13", "--sigma", "2,2,1", "--strategy", "rgood"]
+        code, payload, _ = invoke_json(argv, capsys)
         assert code == 0
         assert payload["unproven_regime"] is True
+        code, _, err = invoke(argv + ["--permissive"], capsys)
+        assert code == 1 and "--permissive" in err
 
     def test_forty_parts_return_at_once(self):
         # 40 parts have 2^40 subsets: the r-good split must not try them all

@@ -598,7 +598,7 @@ class TestRGoodRegimes:
         assert verify_matching(spec, forced.matching).ok
 
     def test_exchange_capacity_checked_before_any_edge(self, monkeypatch):
-        # (5, 7, (2, 1)) permissive: p*b = 1*2 corner groups, f*full = 1*1 blocks
+        # (5, 7, (2, 1)): p*b = 1*2 corner groups, f*full = 1*1 blocks
         def refuse(*args):
             raise AssertionError("an edge was laid before the capacity check")
 
@@ -609,29 +609,30 @@ class TestRGoodRegimes:
         assert str(err.value) == "corner absorption needs 2 exchange blocks, only 1 available"
 
     def test_permissive_falls_back_to_regime_2_when_exchange_runs_short(self):
+        # the gate admits regime 3 below its proven height, where its
+        # exchange blocks can run short
         spec = make_spec(5, 7, [2, 1])
-        rep = r_good_maximum_matching(spec, permissive=True)
+        rep = r_good_maximum_matching(spec)
         assert rep.strategy == "rgood-2" and rep.proven
-        assert rep == r_good_maximum_matching(spec)
         assert verify_matching(spec, rep.matching).ok
 
-    def test_permissive_builds_wherever_strict_does(self):
-        for r in range(2, 6):
+    def test_builds_wherever_the_gate_holds(self):
+        # r-good, n >= s and q >= (L-1)(r-1): rgood builds within its
+        # bound, and best_matching does at least as well
+        for r in range(2, 7):
             for parts in partitions(r):
-                if len(parts) < 2 or find_r_good_split(core.Sigma(parts)) is None:
+                split = find_r_good_split(core.Sigma(parts)) if len(parts) >= 2 else None
+                if split is None:
                     continue
-                for n, q in itertools.product(range(1, 11), range(1, 17)):
-                    spec = make_spec(n, q, parts)
-                    try:
-                        strict = r_good_maximum_matching(spec)
-                    except RegimeError:
-                        strict = None
-                    try:
-                        loose = r_good_maximum_matching(spec, permissive=True)
-                    except RegimeError as err:
-                        assert strict is None and "corner" not in str(err), spec
+                for n, q in itertools.product(range(len(parts), 13), range(1, 25)):
+                    if q < (split.L - 1) * (r - 1):
                         continue
-                    assert verify_matching(spec, loose.matching).ok, spec
+                    spec = make_spec(n, q, parts)
+                    rep = r_good_maximum_matching(spec)
+                    assert verify_matching(spec, rep.matching).ok, spec
+                    certs = dict(rep.certificates)
+                    assert rep.unmatched_count <= certs.get("unmatched_bound", 0), spec
+                    assert best_matching(spec).nu >= rep.nu, spec
 
     def test_not_r_good_rejected(self):
         with pytest.raises(RegimeError):
@@ -640,15 +641,20 @@ class TestRGoodRegimes:
     def test_too_small_names_thresholds(self):
         with pytest.raises(RegimeError) as err:
             r_good_maximum_matching(make_spec(4, 6, [2, 2, 1]))
-        assert "q >=" in str(err.value)
+        assert "n >= 3 and q >= 12" in str(err.value)
 
     def test_permissive_marks_unproven(self):
-        # q below the stated residue threshold but mechanically coverable
+        # q below the paper's regime-2 height L(r-1) = 16, above the gate's 12
         spec = make_spec(4, 13, [2, 2, 1])
-        with pytest.raises(RegimeError):
-            r_good_maximum_matching(spec)
-        rep = r_good_maximum_matching(spec, permissive=True)
-        assert not rep.proven
+        rep = r_good_maximum_matching(spec)
+        assert rep.strategy == "rgood-2" and not rep.proven
+        assert verify_matching(spec, rep.matching).ok
+
+    def test_unproven_regime_3_reaches_the_ceiling(self):
+        spec = make_spec(64, 116, [4, 3, 2])
+        rep = r_good_maximum_matching(spec)
+        assert rep.strategy == "rgood-3" and not rep.proven
+        assert rep.nu == 824 == 64 * 116 // 9
         assert verify_matching(spec, rep.matching).ok
 
     def test_regime_bounds_across_grid(self):
@@ -744,6 +750,14 @@ class TestGreedyAndBest:
         assert certs["gcd_unmatched_lower"] == 3
         assert rep.nu == 2 == bf_max_matching(spec, BUDGET)
         assert verify_matching(spec, rep.matching).ok
+
+    def test_unproven_regime_3_wins_at_scale(self):
+        # ceilings 10,033 and 7,111; regime 2 gave 9,996 and 7,099
+        for n, q, nu in [(300, 301, 10_032), (64, 1000, 7_111)]:
+            spec = make_spec(n, q, [4, 3, 2])
+            rep = best_matching(spec)
+            assert (rep.strategy, rep.nu, rep.proven) == ("rgood-3", nu, False), spec
+            assert verify_matching(spec, rep.matching).ok, spec
 
     def test_never_beats_oracle_and_respects_gcd(self):
         for r in range(1, 5):

@@ -5,6 +5,7 @@ import math
 import random
 import subprocess
 import sys
+import time
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -347,15 +348,24 @@ class TestBfMaxMatching:
         for spec in desk_specs():
             assert bf_max_matching(spec) == reference_max_matching(spec), spec
 
+    def test_placements_refused_before_the_search(self):
+        # the first state alone has C(32, 16) = 601,080,390 placements; the
+        # default limits, but a clock short enough that a search fails fast
+        start = time.monotonic()
+        with pytest.raises(BudgetExceeded, match="601080390 distinct part placements"):
+            bf_max_matching(make_spec(32, 1, [1] * 16), OracleBudget(time_limit=5.0))
+        assert time.monotonic() - start < 1
+
     def test_deadline_holds_inside_a_state(self):
-        # the first state alone has C(28, 14) = 40,116,600 placements
+        # the first state alone has C(28, 14) = 40,116,600 placements, within
+        # the edge budget, so only the clock can stop it
         code = (
             "import time\n"
             "from sigmahg.core import make_spec\n"
             "from sigmahg.oracle import BudgetExceeded, OracleBudget, bf_max_matching\n"
             "start = time.monotonic()\n"
             "try:\n"
-            "    bf_max_matching(make_spec(28, 1, [1] * 14), OracleBudget(32, 200_000, 0.5))\n"
+            "    bf_max_matching(make_spec(28, 1, [1] * 14), OracleBudget(32, 10**8, 0.5))\n"
             "except BudgetExceeded:\n"
             "    print(time.monotonic() - start)\n"
         )

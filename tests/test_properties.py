@@ -59,7 +59,6 @@ def strategy_reports(spec):
         "diagonal": lambda: MatchingReport.of(spec, diagonal_perfect_matching(spec), "diagonal"),
         "rectangular": lambda: rectangular_maximum_matching(spec),
         "rgood": lambda: r_good_maximum_matching(spec),
-        "rgood-permissive": lambda: r_good_maximum_matching(spec, permissive=True),
         "greedy": lambda: MatchingReport.of(spec, greedy_matching(spec), "greedy"),
     }
     for name, build in builds.items():
@@ -175,7 +174,6 @@ CLI_STRATEGIES = {
     "diagonal": ["--strategy", "diagonal"],
     "rectangular": ["--strategy", "rectangular"],
     "rgood": ["--strategy", "rgood"],
-    "rgood-permissive": ["--strategy", "rgood", "--permissive"],
     "greedy": ["--strategy", "greedy"],
 }
 

@@ -2,13 +2,9 @@
 
 Each group runs one spec, or a small grid, through `cli.run` with every
 strategy variant and hashes the argv, exit code, stdout and stderr of each
-call.  The digests were made before `best_matching` routed on gcd(sigma)
-and the r-good dispatcher became a chain of gates; a change that means to
-alter no output leaves them as they are.  `all-ones` and
-`error-corner-absorption` were regenerated when `rgood --permissive` began
-to build regime 2 where regime 3 runs short of exchange blocks; each
-differs from its earlier digest in that one call.  To print the digests of the
-current code:
+call.  A change that means to alter no output leaves the digests as they
+are; one that alters some regenerates those groups and says which calls
+changed.  To print the digests of the current code:
 
     PYTHONPATH=src python tests/test_same_answers.py
 """
@@ -28,7 +24,6 @@ VARIANTS = {
     "diagonal": ["diagonal"],
     "rectangular": ["rectangular"],
     "rgood": ["rgood"],
-    "rgood-permissive": ["rgood", "--permissive"],
     "greedy": ["greedy"],
 }
 
@@ -36,7 +31,7 @@ GRID = [(n, q, parts) for r in range(1, 5) for parts in partitions(r)
         for n in range(1, 5) for q in range(1, 5)]
 
 # group -> (spec, text one of its calls must print): every label
-# best_matching reports, an unproven permissive report, each regime error
+# best_matching reports, an unproven r-good report, each regime error
 ROUTES = {
     "diagonal": ((3, 9, (4, 3, 2)), '"strategy": "diagonal"'),
     "all-ones": ((16, 4, (1, 1, 1)), '"strategy": "all-ones"'),
@@ -52,45 +47,43 @@ ROUTES = {
     "contract+rgood-3": ((7, 32, (2, 2, 2)), '"strategy": "contract+rgood-3"'),
     "contract+rgood-3-two-part": ((5, 6, (2, 2)), '"strategy": "contract+rgood-3-two-part"'),
     "contract+greedy": ((3, 2, (2, 2, 2)), '"strategy": "contract+greedy"'),
-    "unproven-permissive": ((4, 13, (2, 2, 1)), '"unproven_regime": true'),
+    "unproven-regime": ((4, 13, (2, 2, 1)), '"unproven_regime": true'),
     "error-not-r-good": ((4, 5, (2, 2)), "is not r-good"),
     "error-one-part": ((3, 3, (3,)), "need at least two parts"),
     "error-no-edges": ((1, 3, (2, 1)), "has no edges"),
     "error-no-regime": ((4, 6, (2, 2, 1)), "no r-good regime applies"),
-    # --permissive raised "corner absorption needs ..." here until regime 3's
-    # capacity shortfall fell through to regime 2
+    # regime 3's gate holds, but its exchange blocks run short: regime 2 builds
     "error-corner-absorption": ((5, 7, (2, 1)), '"strategy": "rgood-2"'),
     "error-rectangular-height": ((30, 3, (2, 2)), "need q >= r*delta"),
 }
 
 DIGESTS = {
-    "grid/auto": "171317289a8a5294047624f7857c125ebe7822341810479f824f47a18be93ec6",
+    "grid/auto": "4eaad4ea3d0933cedcb7fc1cdcdebb257e47aeb45612f8b1c1bf4efcfdd653ef",
     "grid/diagonal": "45af2f8a99a2c1090f75841fcac04082270bf6bd6bc9bbb97e1fa8a036b1f914",
     "grid/rectangular": "36f5f3e8e0c71bd87678c23d285fc7608bd5aba488fa73f1bd759e45cf116de0",
-    "grid/rgood": "471e84f81ae9377000d082e933c1b6b31d50b9e99d118ab45b5331bee4311031",
-    "grid/rgood-permissive": "5229f21dfd935d5424aa977295a8f27a1d340af3ab261edc0be77f2a74fefd0e",
+    "grid/rgood": "3f662204fea177e84a4ac4179cdad04f0186d98bd28499857b867fd29b001c6f",
     "grid/greedy": "b26326582fe2fff3a800eab6d0a053c8ba40308f1a021d9a8198c63181beef6f",
-    "diagonal": "2f4456be9c30c1e206bd253ec1ab0d4eb785ee54e2930bf9468e54e397759a72",
-    "all-ones": "1fb47cd399e6c65d940229d07e51ca674c4a7b838d7b8fe9ecdbc3575866c61a",
-    "rgood-1b": "1c166e539c418513895639aaadb0e6d1ff2dfa749812b503594c8d331139508f",
-    "rgood-2": "6337586a86ee2b583bb62d35516c9e597ac3896ccb2061cf4c5d1e4fa86f3acf",
-    "rgood-3": "05eda0dece282c1731d72c3fd87f86030c5ea3883942b6a27313cf67e2a0b449",
-    "rgood-3-two-part": "06efba4e1f885c2fcc7fd0014d6c5c06965d0cd9c013553c1d92431474684b6e",
-    "greedy": "2220c675f084723faad930e6c151a906085f0790519b623066797edbfd652c9e",
-    "contract+diagonal": "c1e1ade7f33336a3c77323ed3e362f968651ca99c4616add6099d072f3fa2098",
-    "contract+all-ones": "dd320791693bd98f227a1e79122eeabb55a5d07f55986a00d702e46c16bc7b66",
-    "contract+rgood-1b": "59e79bc9e0c1271c59363b44a02a2da043d209b7c2329b1e35e6d1da6caaaae1",
-    "contract+rgood-2": "59a631103b804719c0b259d6c5eff154c4aaa5017da73fb65807eeae5e5a8a47",
-    "contract+rgood-3": "e513661a51008ff4977c1707a01f80e1c7b1ececf24507b2cd0a2fbb70ff36b3",
-    "contract+rgood-3-two-part": "f14af6f17a72410946b2dac1142d7662316b4cdea11aa8501b5c385cc9e92b36",
-    "contract+greedy": "ea70b4857c88b1f38ef3f4f8e502d4a6c3ad9bf54293b023d5e644edd5a1505a",
-    "unproven-permissive": "22e839439b86f727a71f49511d0c54fd36f446fd24468ae506bfb4d930b770de",
-    "error-not-r-good": "7f95958051db723d755a3ccdf5de62b633799897b0dc9d44addd6a0c3a2ab8b9",
-    "error-one-part": "9ca1cd4e079b973ccfb44791131a5502568e8eb03bb7bfb392a19c621bcee210",
-    "error-no-edges": "91c5e45543ad7af3fc65fbae70dd33f85ba91c2247460535ab444c0e034eb6d3",
-    "error-no-regime": "faf403a092ac2e419ba8b9ec193adb3d3d4c7bee8281341b0cfdbeaa7a92229e",
-    "error-corner-absorption": "89d72f487826c0b236098443b951aa3db8408faf24dea0b85ee00bec36808440",
-    "error-rectangular-height": "e8593e84f3a0ee50490fee16c4caf2c0af15899907f729659433c082c4b2ff33",
+    "diagonal": "8899f9c596b0ba7e13f2016f6f8ea47f9e0e27d63e76cb17f3dce2ef7510fa88",
+    "all-ones": "c7934baf1e3fac877c698e15200afe370a3b1b91c0a107fa6c31cf83fb6e1e65",
+    "rgood-1b": "8484e250805d1079dec573a23eec0428df78a9bac7d45919d2f8e7379b863ff7",
+    "rgood-2": "5042c499ed331c691bed3ccb12c966b0a10f3f30fa2845c89624c6c82a83f69e",
+    "rgood-3": "b73ded1eba26b8cd7de116a362b643b9c965b6e6a012deabe80fa3f78398ac11",
+    "rgood-3-two-part": "19152d089de5ec75bbdf8563664842440f459c9da85c82f678aa4be6eb0f8bf6",
+    "greedy": "62e09d750b34dc3a29bedc6a39ab1b34ad30f71992b1ca70dd500c1ff4d75d53",
+    "contract+diagonal": "1ae9ac0a46b852fa68e63da98d6de2901bf70b0749fe9c76b9d407b7b56c990e",
+    "contract+all-ones": "76bfafc401dcf906fa2fc274ac16c1eafe1fd5d51b663882d5be520289b377cd",
+    "contract+rgood-1b": "034345c536a328e7ebd71157a44e0660cc225e4a9c46ae8cf6fd84a6ea69f205",
+    "contract+rgood-2": "8c68020e4e69906453873173ad9977b933629ec821ab99819cec8fd7ae003f60",
+    "contract+rgood-3": "d4e345af4d1709e8a0df8a2cb89bf860d8ce6f2cbeb1a9a40e7a81924ea43840",
+    "contract+rgood-3-two-part": "be234f2e0840e0e7dbd28f135a07cb62998007e81feec60a46e5236a34ef4a25",
+    "contract+greedy": "4f2cc2645dc3c281888192e6f3b49f5ca282998ad3d4044fdcc27b36df563f02",
+    "unproven-regime": "90d411cbde134f6473eed20667ea09acd61435dfcbd473621593343e6df6a6ff",
+    "error-not-r-good": "3dbe4604a9abde81c9e3bf2fd89d95bcba7664821ec384a751d56ab701bacf55",
+    "error-one-part": "f399324bc4ae0a24ded82f6600e11c4060b8066860957c7ac69470e5bdaa4e39",
+    "error-no-edges": "cd6496b6914b2fa19a6d4005ed78f0b358bc088cebeb61a5aeaf27f17af4935e",
+    "error-no-regime": "940f57e422de21eff865135d2e3c0e96a5bbe6767fd0b356c6e5ed29277dfdbb",
+    "error-corner-absorption": "63659515b5cb4bd84ce96cb15da1d042eda33efa7be3d0a52158339eac546025",
+    "error-rectangular-height": "acc963b309da5df5b5a1782581b6b090dd67f1eff44aeb1498b682b734febdb6",
 }
 
 
