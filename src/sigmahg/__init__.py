@@ -13,10 +13,10 @@ _EXPORTS = {
         "BudgetExceeded Edge HypergraphSpec Matching NoEdges NoRepresentation "
         "NoSuchDesign RegimeError Sigma SigmaHypergraphError ValidationError "
         "VerificationReport Vertex VertexSet count_edges enumerate_edges "
-        "frobenius_decompose is_edge make_edge make_spec verify_matching"
+        "frobenius_decompose is_edge make_spec verify_matching"
     ),
     "independence": (
-        "ColouringBounds FeasibleSequence alpha alpha_k alpha_k_witness alpha_value "
+        "ColouringBounds FeasibleSequence alpha alpha_k alpha_k_witness "
         "colouring_bounds enumerate_maximal_feasible is_k_independent max_intersection_edge"
     ),
     "matching": (

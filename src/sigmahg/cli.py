@@ -98,8 +98,14 @@ def _budget_limits() -> tuple[int, int, float]:
             raise _UsageError(f"{BUDGET_ENV} must be positive")
         if not math.isfinite(factor):
             raise _UsageError(f"{BUDGET_ENV} must be finite, got {core._brief(raw)}")
+    from .oracle import DEFAULT_BUDGET as base
+
     try:
-        return max(1, int(32 * factor)), max(1, int(200_000 * factor)), 60.0 * factor
+        return (
+            max(1, int(base.max_vertices * factor)),
+            max(1, int(base.max_edges * factor)),
+            base.time_limit * factor,
+        )
     except OverflowError:
         raise _UsageError(f"{BUDGET_ENV} is too large, got {core._brief(raw)}") from None
 

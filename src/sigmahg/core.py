@@ -197,10 +197,6 @@ class Edge(_Checked, _EdgeFields):
         return sum(len(rows) for _, rows in self.parts)
 
 
-def make_edge(parts: Iterable[tuple[int, Iterable[int]]]) -> Edge:
-    return Edge(tuple((c, frozenset(rows)) for c, rows in parts))
-
-
 class _VertexSetFields(NamedTuple):
     members: frozenset[Vertex] = frozenset()
 
@@ -416,15 +412,21 @@ def enumerate_edges(spec: HypergraphSpec) -> Iterator[Edge]:
             yield Edge(tuple((c, frozenset(rs)) for c, rs in zip(classes, row_sets)))
 
 
+def count_placements(spec: HypergraphSpec) -> int:
+    """Number of distinct ways to put sigma's parts in distinct classes,
+    equal parts interchangeable: n!/(n-s)! / prod mult(v)!."""
+    total = math.perm(spec.n, spec.sigma.s)
+    for mult in Counter(spec.sigma.parts).values():
+        total //= math.factorial(mult)
+    return total
+
+
 def count_edges(spec: HypergraphSpec) -> int:
-    """Number of edges, by the product of binomials (no enumeration)."""
+    """Number of edges: each placement times its row choices, by the
+    product of binomials (no enumeration)."""
     if not spec.has_edges:
         return 0
-    total = 1
-    remaining = spec.n
-    for size, mult in sorted(Counter(spec.sigma.parts).items(), reverse=True):
-        total *= math.comb(remaining, mult)
-        remaining -= mult
+    total = count_placements(spec)
     for a in spec.sigma.parts:
         total *= math.comb(spec.q, a)
     return total
@@ -614,7 +616,7 @@ def edge_to_json(edge: Edge) -> list:
 
 def edge_from_json(obj: list) -> Edge:
     try:
-        return make_edge((part["class"], part["rows"]) for part in obj)
+        return Edge([(part["class"], frozenset(part["rows"])) for part in obj])
     except ValidationError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

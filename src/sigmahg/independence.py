@@ -19,7 +19,6 @@ from .core import (
     NoEdges,
     Sigma,
     ValidationError,
-    Vertex,
     VertexSet,
 )
 
@@ -134,11 +133,6 @@ def alpha_k_witness(spec: HypergraphSpec, k: int) -> tuple[int, tuple[int, ...]]
     return value, seq.full(spec.n)
 
 
-def witness_vertex_set(spec: HypergraphSpec, profile: tuple[int, ...]) -> VertexSet:
-    """Realise a profile as the top rows of each class."""
-    return VertexSet.from_profile(spec, profile)
-
-
 def alpha(spec: HypergraphSpec) -> tuple[int, int]:
     """Closed-form independence number and the maximising index j.
 
@@ -155,10 +149,6 @@ def alpha(spec: HypergraphSpec) -> tuple[int, int]:
         if value > best_value:
             best_value, best_j = value, j
     return best_value, best_j
-
-
-def alpha_value(spec: HypergraphSpec) -> int:
-    return alpha(spec)[0]
 
 
 class ColouringBounds(NamedTuple):
@@ -189,7 +179,7 @@ def colouring_bounds(
         )
     nq = spec.num_vertices
     ab = alpha_k(spec, beta_param) if beta_param <= r - 1 else nq
-    a_ind = alpha_value(spec)
+    a_ind = alpha(spec)[0]
     if alpha_param == 1 or not spec.has_edges:
         # With no edge to constrain it, a single colour always works; the
         # counting argument below needs a non-vacuous edge constraint.

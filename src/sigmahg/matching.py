@@ -201,22 +201,28 @@ def expand(spec: HypergraphSpec, contracted_matching: Matching) -> Matching:
 # ---------------------------------------------------------------------------
 
 
-def _band(
-    out: Intervals, sizes: tuple[int, ...], classes: list[int], row0: int
-) -> None:
-    """Append one shifted copy of ``sizes`` per class of the band to
-    ``out``, each edge's parts in sizes' order.
+def _band(sizes: tuple[int, ...], width: int) -> Intervals:
+    """The band over classes 1..width and rows 1..sum(sizes): one shifted
+    copy of ``sizes`` per class, each edge's parts in sizes' order.
 
-    The band spans rows row0+1 .. row0+sum(sizes) over the given classes;
-    column j contributes part i at class (j+i) mod width, each part using
+    Column j contributes part i at class (j+i) mod width, each part using
     its fixed row block, so the band is covered exactly.
     """
-    width, s = len(classes), len(sizes)
+    s = len(sizes)
     if width < s:
         raise ValidationError(f"band of width {width} cannot host {s} parts")
-    wrapped = classes + classes[: s - 1]
-    out[0].extend([c for j in range(width) for c in wrapped[j : j + s]])
-    out[1].extend(list(itertools.accumulate(sizes[:-1], initial=row0 + 1)) * width)
+    wrapped = [*range(1, width + 1), *range(1, s)]
+    return (
+        [c for j in range(width) for c in wrapped[j : j + s]],
+        list(itertools.accumulate(sizes[:-1], initial=1)) * width,
+    )
+
+
+def _place(out: Intervals, block: Intervals | DlsFragment, classes: int = 0, rows: int = 0) -> None:
+    """Append a copy of ``block`` (a band, packed block or fragment built at
+    the origin) shifted right by ``classes`` and down by ``rows``."""
+    out[0].extend([c + classes for c in block[0]] if classes else block[0])
+    out[1].extend([row + rows for row in block[1]] if rows else block[1])
 
 
 def diagonal_perfect_matching(spec: HypergraphSpec) -> Matching:
@@ -227,10 +233,10 @@ def diagonal_perfect_matching(spec: HypergraphSpec) -> Matching:
         raise RegimeError(f"need r | q, got r={r}, q={spec.q}")
     if spec.n < s:
         raise RegimeError(f"need n >= s, got n={spec.n}, s={s}")
-    classes = list(range(1, spec.n + 1))
+    band = _band(spec.sigma.parts, spec.n)
     out: Intervals = ([], [])
     for strip in range(spec.q // r):
-        _band(out, spec.sigma.parts, classes, strip * r)
+        _place(out, band, rows=strip * r)
     return Matching.from_intervals(spec.sigma.parts, *out)
 
 
@@ -261,11 +267,11 @@ def all_ones_maximum_matching(spec: HypergraphSpec) -> MatchingReport:
     if q < r:
         raise RegimeError(f"need q >= r = {r}, got q={q}")
 
-    classes = list(range(1, n + 1))
     bands = q // r
+    band = _band(sigma.parts, n)
     cls, rows = out = ([], [])
-    for band in range(bands):
-        _band(out, sigma.parts, classes, band * r)
+    for strip in range(bands):
+        _place(out, band, rows=strip * r)
 
     full_width = n // r
     strip = range(bands * r + 1, q + 1)
@@ -413,10 +419,9 @@ def generate_dls(order: int) -> DiagonalLatinSquare:
     return DiagonalLatinSquare(order, _dls_cells(order))
 
 
-def dls_matching(
-    spec: HypergraphSpec, row_offset: int, class_offset: int
-) -> DlsFragment:
-    """Perfect cover of the r x s subgrid at the given 0-based offsets.
+def dls_matching(spec: HypergraphSpec) -> DlsFragment:
+    """Perfect cover of the r x s subgrid at the origin: rows 1..r of
+    classes 1..s.
 
     Column i of the subgrid is cut into consecutive blocks sized by the
     symbols running down column i of a diagonal Latin square of order s;
@@ -431,71 +436,49 @@ def dls_matching(
         raise NoSuchDesign(
             "no order-2 diagonal square; two-part edges use the paired-column scheme"
         )
-    if row_offset < 0 or class_offset < 0:
-        raise ValidationError("offsets are 0-based and nonnegative")
-    if row_offset + r > spec.q or class_offset + s > spec.n:
-        raise ValidationError(
-            f"r x s subgrid at ({row_offset}, {class_offset}) exceeds the "
-            f"{spec.q}x{spec.n} grid"
-        )
+    if r > spec.q or s > spec.n:
+        raise ValidationError(f"r x s subgrid exceeds the {spec.q}x{spec.n} grid")
     square = generate_dls(s)
     classes, rows = [0] * (s * s), [0] * (s * s)
     for i in range(s):
-        row = row_offset + 1
+        row = 1
         for j in range(s):  # block j of column i carries symbol D[j][i]
             sym = square.cells[j][i]
-            classes[j * s + sym], rows[j * s + sym] = class_offset + i + 1, row
+            classes[j * s + sym], rows[j * s + sym] = i + 1, row
             row += sigma.parts[sym]
     diagonal = tuple(DiagonalPart(i, square.cells[i][i]) for i in range(s))
     return DlsFragment(tuple(classes), tuple(rows), diagonal)
 
 
-def _pair_fragment(spec: HypergraphSpec, row_offset: int, class_offset: int) -> DlsFragment:
-    """Two edges perfectly covering the r x 2 subgrid at the 0-based offsets,
-    for sigma = (a1, a2): the top a1 rows of the first column with the top
-    a2 rows of the second, and the two bottom blocks.  The second column's
+def _pair_fragment(spec: HypergraphSpec) -> DlsFragment:
+    """Two edges perfectly covering the r x 2 subgrid at the origin, for
+    sigma = (a1, a2): the top a1 rows of the first column with the top a2
+    rows of the second, and the two bottom blocks.  The second column's
     top block (symbol 1) is the part an exchange frees."""
     a1, r = spec.sigma.parts[0], spec.r
-    col1, col2 = class_offset + 1, class_offset + 2
-    return DlsFragment(
-        (col1, col2, col2, col1),
-        (row_offset + 1, row_offset + 1, row_offset + r - a1 + 1, row_offset + a1 + 1),
-        (DiagonalPart(0, 1),),
-    )
+    return DlsFragment((1, 2, 2, 1), (1, 1, r - a1 + 1, a1 + 1), (DiagonalPart(0, 1),))
 
 
-def packing_matching(
-    spec: HypergraphSpec,
-    split: RGoodSplit,
-    row_offset: int,
-    class_offset: int,
-) -> Intervals:
-    """L edges perfectly covering the L x r subgrid at the 0-based offsets,
-    each edge's parts in sigma's order.
+def packing_matching(spec: HypergraphSpec, split: RGoodSplit) -> Intervals:
+    """L edges perfectly covering the L x r subgrid at the origin (rows
+    1..L of classes 1..r), each edge's parts in sigma's order.
 
     The left L x a half is tiled with L/a square bands packed with the A
     parts, the right L x b half with L/b bands of the B parts; the i-th
     half from each side share no classes, so their union is an edge.
     """
     a, b, L = split.a, split.b, split.L
-    r = spec.r
-    if row_offset < 0 or class_offset < 0:
-        raise ValidationError("offsets are 0-based and nonnegative")
-    if row_offset + L > spec.q or class_offset + r > spec.n:
-        raise ValidationError(
-            f"L x r subgrid at ({row_offset}, {class_offset}) exceeds the "
-            f"{spec.q}x{spec.n} grid"
-        )
+    if L > spec.q or spec.r > spec.n:
+        raise ValidationError(f"L x r subgrid exceeds the {spec.q}x{spec.n} grid")
     sigma_a = tuple(spec.sigma.parts[i - 1] for i in split.set_a)
     sigma_b = tuple(spec.sigma.parts[i - 1] for i in split.set_b)
-    left = [class_offset + 1 + j for j in range(a)]
-    right = [class_offset + a + 1 + j for j in range(b)]
+    band_a, band_b = _band(sigma_a, a), _band(sigma_b, b)
     halves_a: Intervals = ([], [])
     halves_b: Intervals = ([], [])
     for blk in range(L // a):
-        _band(halves_a, sigma_a, left, row_offset + blk * a)
+        _place(halves_a, band_a, rows=blk * a)
     for blk in range(L // b):
-        _band(halves_b, sigma_b, right, row_offset + blk * b)
+        _place(halves_b, band_b, a, blk * b)
     # an edge's A half then B half hold part indices set_a + set_b; put
     # them in sigma's order
     joined = split.set_a + split.set_b
@@ -525,18 +508,17 @@ def _perfect_width_bands(
     """Cover rows row0+1..row0+height over classes 1..num_classes (r | width)
     by height = x*L + y*r: x packed L-bands then y shifted r-bands, appended
     to ``out``."""
-    r = spec.r
-    x, y = frobenius_decompose(height, split.L, r)
-    row = row0
-    for _ in range(x):
-        for grid in range(num_classes // r):
-            for flat, block in zip(out, packing_matching(spec, split, row, grid * r)):
-                flat.extend(block)
-        row += split.L
-    band_classes = list(range(1, num_classes + 1))
-    for _ in range(y):
-        _band(out, spec.sigma.parts, band_classes, row)
-        row += r
+    r, L = spec.r, split.L
+    x, y = frobenius_decompose(height, L, r)
+    if x:
+        packed = packing_matching(spec, split)
+        for strip in range(x):
+            for grid in range(num_classes // r):
+                _place(out, packed, grid * r, row0 + strip * L)
+    if y:
+        band = _band(spec.sigma.parts, num_classes)
+        for strip in range(y):
+            _place(out, band, rows=row0 + x * L + strip * r)
 
 
 def _rgood_residue(spec: HypergraphSpec, split: RGoodSplit, exchange: bool) -> MatchingReport:
@@ -560,18 +542,18 @@ def _rgood_residue(spec: HypergraphSpec, split: RGoodSplit, exchange: bool) -> M
     cls, rows = out = ([], [])
     # the first edge of each consumable exchange block, in order
     fragments: list[int] = []
-    all_classes = list(range(1, n + 1))
-    block = None
-    if f and full:  # one block at the origin, shifted to every place it is laid
-        block = (dls_matching if s >= 3 else _pair_fragment)(spec, 0, 0)
+    band = block = None  # each built once at the origin, shifted to every place
+    if full:
+        band = _band(sigma.parts, n - f * s)
+        if f:
+            block = (dls_matching if s >= 3 else _pair_fragment)(spec)
 
     for strip in range(full):
         row0 = strip * r
         for blk in range(f):
             fragments.append(len(cls) // s)
-            cls.extend([c + blk * s for c in block.classes])
-            rows.extend([row + row0 for row in block.rows])
-        _band(out, sigma.parts, all_classes[f * s :], row0)
+            _place(out, block, blk * s, row0)
+        _place(out, band, f * s, row0)
 
     if t_cl >= 1 and q1 > 0:
         _perfect_width_bands(out, spec, split, q1, full * r, t_cl * r)
@@ -643,7 +625,8 @@ def r_good_maximum_matching(spec: HypergraphSpec) -> MatchingReport:
               vertices at a time; at most (r-1)^2 unmatched.  Skipped
               when its exchange blocks run short, never at q >= L(r^2-1).
     * ``2``   n >= s: stacked strips plus packed residue over the widest
-              r-divisible prefix; at most L(r-1)^2 unmatched.
+              r-divisible prefix; at most L(r-1)^2 unmatched.  Needs
+              n >= r or a full strip, q >= (L-1)(r-1) + r, to lay an edge.
 
     Both build from q >= (L-1)(r-1), the least height the packed residue
     needs.  Below L(r^2-1) and L(r-1), where the paper proves them, the
@@ -668,14 +651,18 @@ def r_good_maximum_matching(spec: HypergraphSpec) -> MatchingReport:
         _perfect_width_bands(out, spec, split, q, 0, n)
         m = Matching.from_intervals(sigma.parts, *out)
         return MatchingReport.of(spec, m, "rgood-1b", (("nu_upper", n * q // r),))
-    if n >= s and q >= (L - 1) * (r - 1):
+    low, short = (L - 1) * (r - 1), ""
+    if n >= s and q >= low:
         if n >= s + r:
             with contextlib.suppress(RegimeError):  # too few exchange blocks: regime 2 builds
                 return _rgood_residue(spec, split, exchange=True)
-        return _rgood_residue(spec, split, exchange=False)
+        # regime 2 lays a full strip, or a packed residue over r classes
+        if n >= r or q >= low + r:
+            return _rgood_residue(spec, split, exchange=False)
+        short = f", with n >= {r} or q >= {low + r}"
     raise RegimeError(
         f"no r-good regime applies to {spec} (L={L}): need r|q, or r|n with q = x*{L} + "
-        f"y*{r}, or n >= {s} and q >= {(L - 1) * (r - 1)}; got q={q}, n={n}"
+        f"y*{r}, or n >= {s} and q >= {low}{short}; got q={q}, n={n}"
     )
 
 

@@ -8,9 +8,7 @@ loudly (BudgetExceeded) rather than ever truncating a search.
 from __future__ import annotations
 
 import itertools
-import math
 import time
-from collections import Counter
 from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple
@@ -23,6 +21,7 @@ from .core import (
     VertexSet,
     _Checked,
     count_edges,
+    count_placements,
     edge_shapes,
 )
 
@@ -63,9 +62,7 @@ def _check_vertices(spec: HypergraphSpec, budget: OracleBudget, what: str) -> No
 
 
 def _check_placements(spec: HypergraphSpec, budget: OracleBudget, what: str) -> None:
-    placements = math.perm(spec.n, spec.sigma.s)
-    for mult in Counter(spec.sigma.parts).values():
-        placements //= math.factorial(mult)
+    placements = count_placements(spec)
     if placements > budget.max_edges:
         raise BudgetExceeded(
             f"{what}: {placements} distinct part placements exceeds budget {budget.max_edges}"

@@ -6,7 +6,7 @@ import math
 import time
 
 from sigmahg.core import make_spec, verify_matching
-from sigmahg.independence import alpha_k, alpha_value, colouring_bounds
+from sigmahg.independence import alpha, alpha_k, colouring_bounds
 from sigmahg.matching import (
     all_ones_maximum_matching,
     find_r_good_split,
@@ -38,7 +38,7 @@ def test_criterion_1_worked_example_formulas():
             spec = make_spec(n, q, [4, 3, 2])
             a8 = alpha_k(spec, 8)
             assert a8 == max(3 * n, q + 2 * n - 2, 2 * q + n - 2), (n, q, a8)
-            assert alpha_value(spec) == a8
+            assert alpha(spec)[0] == a8
             a7 = alpha_k(spec, 7)
             assert a7 == (2 * n + 1 if n >= q else 2 * q), (n, q, a7)
             a6 = alpha_k(spec, 6)

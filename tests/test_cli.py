@@ -120,10 +120,18 @@ class TestMatchCommand:
         )
         assert code == 2
 
+    def test_regime_2_that_would_lay_nothing_exits_two(self, capsys):
+        # n < r and no full strip: regime 2 has no edge to lay
+        code, out, err = invoke(
+            ["match", "--n", "2", "--q", "2", "--sigma", "2,1", "--strategy", "rgood"], capsys
+        )
+        assert code == 2 and out == ""
+        assert "with n >= 3 or q >= 5" in err
+
     def test_permissive_flag_surfaces(self, capsys):
         # rgood builds below the paper's height threshold and says so; no
         # option selects a stricter gate
-        argv = ["match", "--n", "4", "--q", "13", "--sigma", "2,2,1", "--strategy", "rgood"]
+        argv = ["match", "--n", "6", "--q", "13", "--sigma", "2,2,1", "--strategy", "rgood"]
         code, payload, _ = invoke_json(argv, capsys)
         assert code == 0
         assert payload["unproven_regime"] is True
@@ -466,7 +474,9 @@ class TestPlumbing:
              {"sigmahg.independence"}),
             (["match", *spec, "--emit", "--format", "json"], 0, {"sigmahg.matching"}),
             (["verify", *spec, "--matching", "-"], 4, set()),
-            (["edges", *spec, "--list"], 0, set()),
+            (["edges", *spec], 0, set()),
+            # --list is capped by the oracle budget's max_edges
+            (["edges", *spec, "--list"], 0, {"sigmahg.oracle"}),
             (["oracle", "match", *spec], 0, {"sigmahg.oracle"}),
         ]
         for argv, code, extra in cases:

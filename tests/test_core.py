@@ -19,11 +19,11 @@ from sigmahg.core import (
     Vertex,
     VertexSet,
     count_edges,
+    count_placements,
     edge_shapes,
     enumerate_edges,
     frobenius_decompose,
     is_edge,
-    make_edge,
     make_spec,
     verify_matching,
 )
@@ -79,33 +79,33 @@ class TestMakeSpec:
 class TestIsEdge:
     def test_matching_partition(self):
         spec = make_spec(3, 3, [2, 1])
-        assert is_edge(spec, make_edge([(1, {1, 2}), (2, {1})]))
+        assert is_edge(spec, Edge([(1, {1, 2}), (2, {1})]))
 
     def test_single_oversized_part(self):
         spec = make_spec(3, 3, [2, 1])
-        assert not is_edge(spec, make_edge([(1, {1, 2, 3})]))
+        assert not is_edge(spec, Edge([(1, {1, 2, 3})]))
 
     def test_all_singletons_is_wrong_shape(self):
         spec = make_spec(3, 3, [2, 1])
-        assert not is_edge(spec, make_edge([(1, {1}), (2, {2}), (3, {3})]))
+        assert not is_edge(spec, Edge([(1, {1}), (2, {2}), (3, {3})]))
 
     def test_out_of_range_vertex_raises(self):
         spec = make_spec(3, 3, [2, 1])
         with pytest.raises(ValidationError):
-            is_edge(spec, make_edge([(1, {1, 4}), (2, {1})]))
+            is_edge(spec, Edge([(1, {1, 4}), (2, {1})]))
         with pytest.raises(ValidationError):
-            is_edge(spec, make_edge([(4, {1, 2}), (2, {1})]))
+            is_edge(spec, Edge([(4, {1, 2}), (2, {1})]))
 
     def test_part_order_is_irrelevant(self):
         spec = make_spec(3, 3, [2, 1])
-        a = make_edge([(2, {1}), (1, {1, 2})])
-        b = make_edge([(1, {2, 1}), (2, {1})])
+        a = Edge([(2, {1}), (1, {1, 2})])
+        b = Edge([(1, {2, 1}), (2, {1})])
         assert a == b
         assert is_edge(spec, a) and is_edge(spec, b)
 
     def test_duplicate_class_is_not_an_edge(self):
         spec = make_spec(3, 3, [2, 1])
-        assert not is_edge(spec, make_edge([(1, {1, 2}), (1, {3})]))
+        assert not is_edge(spec, Edge([(1, {1, 2}), (1, {3})]))
 
 
 class TestEnumerateEdges:
@@ -157,6 +157,7 @@ class TestEdgeShapes:
             parts = spec.sigma.parts
             mults = math.prod(math.factorial(parts.count(v)) for v in set(parts))
             assert len(shapes) == math.perm(spec.n, spec.sigma.s) // mults, spec
+            assert len(shapes) == count_placements(spec), spec
             assert len(set(shapes)) == len(shapes), spec
             per_shape = math.prod(math.comb(spec.q, a) for a in parts)
             assert len(shapes) * per_shape == count_edges(spec), spec
@@ -251,15 +252,15 @@ class TestVerifyMatching:
 
     def test_overlap_detected(self):
         spec = make_spec(3, 3, [2, 1])
-        e1 = make_edge([(1, {1, 2}), (2, {1})])
-        e2 = make_edge([(1, {1, 3}), (3, {1})])
+        e1 = Edge([(1, {1, 2}), (2, {1})])
+        e2 = Edge([(1, {1, 3}), (3, {1})])
         m = Matching((e1, e2), VertexSet.of([]))
         report = verify_matching(spec, m)
         assert any(v.kind == "overlap" for v in report.violations)
 
     def test_non_edge_detected(self):
         spec = make_spec(3, 3, [2, 1])
-        bad = make_edge([(1, {1, 2, 3})])
+        bad = Edge([(1, {1, 2, 3})])
         m = Matching((bad,), VertexSet.of([]))
         report = verify_matching(spec, m)
         assert any(v.kind == "non-edge" for v in report.violations)
@@ -282,13 +283,13 @@ class TestVerifyMatching:
         # kinds, messages and order are output (the CLI prints them)
         spec = make_spec(4, 3, [2, 1])
         edges = (
-            make_edge([(1, {1, 2}), (2, {1})]),
-            make_edge([(1, {2, 3}), (3, {1})]),  # overlaps edge 0
-            make_edge([(5, {1}), (2, {2, 4})]),  # off the grid
-            make_edge([(5, {1}), (4, {5, 1})]),  # off the grid, overlapping edge 2 there
-            make_edge([(3, {2, 3}), (3, {1})]),  # repeated class
-            make_edge([(4, {2}), (2, {3})]),  # wrong part sizes
-            make_edge([(4, {3}), (1, {3}), (2, {3})]),  # wrong part sizes, two overlaps
+            Edge([(1, {1, 2}), (2, {1})]),
+            Edge([(1, {2, 3}), (3, {1})]),  # overlaps edge 0
+            Edge([(5, {1}), (2, {2, 4})]),  # off the grid
+            Edge([(5, {1}), (4, {5, 1})]),  # off the grid, overlapping edge 2 there
+            Edge([(3, {2, 3}), (3, {1})]),  # repeated class
+            Edge([(4, {2}), (2, {3})]),  # wrong part sizes
+            Edge([(4, {3}), (1, {3}), (2, {3})]),  # wrong part sizes, two overlaps
         )
         unmatched = VertexSet.of([(1, 1), (4, 4), (0, 2), (4, 2), (4, 1)])
         report = verify_matching(spec, Matching(edges, unmatched))
@@ -309,7 +310,7 @@ class TestVerifyMatching:
             ("unmatched", "vertex (4, 2) is both matched (edge 5) and listed unmatched"),
             ("unmatched", "unmatched vertex (4, 4) is out of range"),
         ]
-        self_overlap = make_edge([(2, {2, 3}), (2, {2})])
+        self_overlap = Edge([(2, {2, 3}), (2, {2})])
         report = verify_matching(spec, Matching((edges[0], self_overlap), VertexSet.of([(4, 3)])))
         assert [(v.kind, v.message) for v in report.violations] == [
             ("non-edge", "edge 1 repeats class (2, 2)"),
@@ -343,7 +344,7 @@ class TestJsonCodecs:
         assert core.spec_from_json(core.spec_to_json(spec)) == spec
 
     def test_edge_round_trip(self):
-        e = make_edge([(2, {1}), (1, {1, 2})])
+        e = Edge([(2, {1}), (1, {1, 2})])
         assert core.edge_from_json(core.edge_to_json(e)) == e
 
     def test_matching_round_trip(self):
@@ -405,16 +406,16 @@ class TestVertexSet:
 class TestEdgeContainer:
     def test_rejects_empty_part(self):
         with pytest.raises(ValidationError):
-            make_edge([(1, set())])
+            Edge([(1, set())])
 
     def test_rejects_nonpositive_indices(self):
         with pytest.raises(ValidationError):
-            make_edge([(0, {1})])
+            Edge([(0, {1})])
         with pytest.raises(ValidationError):
-            make_edge([(1, {0})])
+            Edge([(1, {0})])
 
     def test_sizes_sorted_descending(self):
-        e = make_edge([(3, {1}), (1, {1, 2, 3}), (2, {4, 5})])
+        e = Edge([(3, {1}), (1, {1, 2, 3}), (2, {4, 5})])
         assert e.sizes() == (3, 2, 1)
         assert e.size() == 6
 
@@ -423,11 +424,11 @@ PUBLIC_NAMES = """
     BudgetExceeded ColouringBounds DiagonalLatinSquare Edge FeasibleSequence HypergraphSpec
     Matching MatchingReport NoEdges NoRepresentation NoSuchDesign OracleBudget RGoodSplit
     RegimeError Sigma SigmaHypergraphError ValidationError VerificationReport Vertex VertexSet
-    all_ones_maximum_matching alpha alpha_k alpha_k_witness alpha_value best_matching
+    all_ones_maximum_matching alpha alpha_k alpha_k_witness best_matching
     bf_alpha_k bf_colouring_spectrum bf_max_intersection bf_max_matching canonicalize
     colouring_bounds contract count_edges diagonal_perfect_matching dls_matching
     enumerate_edges enumerate_maximal_feasible expand find_r_good_split frobenius_decompose
-    gcd_unmatched_lower_bound generate_dls greedy_matching is_edge is_k_independent make_edge
+    gcd_unmatched_lower_bound generate_dls greedy_matching is_edge is_k_independent
     make_spec max_intersection_edge packing_matching r_good_maximum_matching
     rectangular_maximum_matching verify_matching
 """.split()
@@ -489,7 +490,7 @@ def one_of_each_record():
     return [
         spec.sigma,
         spec,
-        make_edge([(2, {1, 2}), (1, {3})]),
+        Edge([(2, {1, 2}), (1, {3})]),
         VertexSet.of([(1, 1), (2, 3)]),
         report.violations[0],
         report,
@@ -540,8 +541,8 @@ class TestRecords:
             (lambda: make_spec(0, 3, [1]), "need n >= 1 and q >= 1, got n=0, q=3"),
             (lambda: make_spec(2, 3, [1])._replace(q=0), "need n >= 1 and q >= 1, got n=2, q=0"),
             (lambda: Edge(()), "edge needs at least one part"),
-            (lambda: make_edge([(1, ())]), "edge part with empty row set"),
-            (lambda: make_edge([(0, {1})]), "class and row indices are 1-based positive integers"),
+            (lambda: Edge([(1, ())]), "edge part with empty row set"),
+            (lambda: Edge([(0, {1})]), "class and row indices are 1-based positive integers"),
             (lambda: OracleBudget(max_edges=0), "budget limits must be positive"),
             (lambda: OracleBudget()._replace(time_limit=0.0), "budget limits must be positive"),
         ]
@@ -553,7 +554,7 @@ class TestRecords:
     def test_records_normalise_and_equal_plain_tuples(self):
         assert core.Sigma([1, 3, 2]).parts == (3, 2, 1)
         assert make_spec(4, 5, [1, 2]) == (4, 5, ((2, 1),))
-        edge = make_edge([(3, [2]), (1, [1, 2])])
+        edge = Edge([(3, [2]), (1, [1, 2])])
         assert edge.parts == ((1, frozenset({1, 2})), (3, frozenset({2})))
         assert edge._replace(parts=[(2, [1])]).parts == ((2, frozenset({1})),)
         assert VertexSet() == VertexSet(set()) == (frozenset(),)

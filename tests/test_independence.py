@@ -17,12 +17,10 @@ from sigmahg.independence import (
     alpha,
     alpha_k,
     alpha_k_witness,
-    alpha_value,
     colouring_bounds,
     enumerate_maximal_feasible,
     is_k_independent,
     max_intersection_edge,
-    witness_vertex_set,
 )
 
 from conftest import small_specs
@@ -196,7 +194,7 @@ class TestAlphaK:
             for k in range(1, spec.r):
                 value, profile = alpha_k_witness(spec, k)
                 assert sum(profile) == value
-                witness = witness_vertex_set(spec, profile)
+                witness = VertexSet.from_profile(spec, profile)
                 assert len(witness) == value
                 assert is_k_independent(spec, witness, k), (spec, k, profile)
 
@@ -205,10 +203,10 @@ class TestAlphaK:
         values = []
         for k in range(1, spec.r):
             value, profile = alpha_k_witness(spec, k)
-            assert is_k_independent(spec, witness_vertex_set(spec, profile), k), (k, profile)
+            assert is_k_independent(spec, VertexSet.from_profile(spec, profile), k), (k, profile)
             values.append(value)
         assert values == sorted(values)
-        assert values[-1] == alpha_value(spec)
+        assert values[-1] == alpha(spec)[0]
 
     def test_huge_n_builds_no_length_n_profile(self):
         # the value reads the s-entry profile; a length-10**9 tuple would
@@ -216,7 +214,7 @@ class TestAlphaK:
         spec = make_spec(10**9, 5, [4, 3, 2])
         values = [alpha_k(spec, k) for k in range(1, spec.r)]
         assert values == sorted(values)
-        assert values[-1] == alpha_value(spec) == 3 * 10**9
+        assert values[-1] == alpha(spec)[0] == 3 * 10**9
         assert colouring_bounds(spec, 2, 8).alpha_beta_ind == 3 * 10**9
 
     def test_monotone_in_k_q_n(self):
@@ -251,16 +249,16 @@ class TestAlphaClosedForm:
                 if not any(e <= s for e in edges):
                     best = max(best, size)
         assert best == 2
-        assert alpha_value(spec) == 2
+        assert alpha(spec)[0] == 2
 
     def test_agrees_with_alpha_k_at_top(self):
         for spec in small_specs(max_r=5, max_n=5, max_q=5, with_edges_only=True):
             if spec.r < 2:
                 continue
-            assert alpha_value(spec) == alpha_k(spec, spec.r - 1), spec
+            assert alpha(spec)[0] == alpha_k(spec, spec.r - 1), spec
 
     def test_degenerate(self):
-        assert alpha_value(make_spec(1, 3, [2, 2])) == 3
+        assert alpha(make_spec(1, 3, [2, 2]))[0] == 3
 
 
 class TestColouringBounds:

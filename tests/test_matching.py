@@ -12,7 +12,6 @@ from sigmahg.core import (
     ValidationError,
     VertexSet,
     interval_edges,
-    make_edge,
     make_spec,
     verify_matching,
 )
@@ -216,7 +215,7 @@ class TestCanonicalize:
 
     def test_invalid_input_rejected(self):
         spec = make_spec(3, 3, [2, 1])
-        bad = Matching((make_edge([(1, {1, 2, 3})]),), VertexSet())
+        bad = Matching((Edge([(1, {1, 2, 3})]),), VertexSet())
         with pytest.raises(ValidationError):
             canonicalize(spec, bad)
 
@@ -486,7 +485,7 @@ class TestGenerateDls:
 class TestDlsMatching:
     def test_three_part_block(self):
         spec = make_spec(3, 9, [4, 3, 2])
-        frag = dls_matching(spec, 0, 0)
+        frag = dls_matching(spec)
         edges = fragment_edges(spec, frag)
         assert len(edges) == 3
         assert_fragment_covers(spec, edges, range(1, 10), range(1, 4))
@@ -500,30 +499,27 @@ class TestDlsMatching:
 
     def test_singleton_parts(self):
         spec = make_spec(3, 3, [1, 1, 1])
-        frag = dls_matching(spec, 0, 0)
+        frag = dls_matching(spec)
         edges = fragment_edges(spec, frag)
         assert len(edges) == 3
         assert_fragment_covers(spec, edges, range(1, 4), range(1, 4))
 
     def test_two_parts_refused(self):
         with pytest.raises(NoSuchDesign):
-            dls_matching(make_spec(4, 3, [2, 1]), 0, 0)
+            dls_matching(make_spec(4, 3, [2, 1]))
 
-    def test_offsets_and_bounds(self):
-        spec = make_spec(7, 20, [4, 3, 2])
-        frag = dls_matching(spec, 5, 3)
-        assert_fragment_covers(spec, fragment_edges(spec, frag), range(6, 15), range(4, 7))
-        with pytest.raises(ValidationError):
-            dls_matching(spec, 12, 0)
-        with pytest.raises(ValidationError):
-            dls_matching(spec, 0, 5)
+    def test_bounds(self):
+        with pytest.raises(ValidationError, match="subgrid exceeds the 8x7 grid"):
+            dls_matching(make_spec(7, 8, [4, 3, 2]))
+        with pytest.raises(ValidationError, match="subgrid exceeds the 20x2 grid"):
+            dls_matching(make_spec(2, 20, [4, 3, 2]))
 
 
 class TestPackingMatching:
     def test_tiny_split(self):
         spec = make_spec(3, 2, [2, 1])
         split = find_r_good_split(spec.sigma)
-        edges = interval_edges(spec.sigma.parts, *packing_matching(spec, split, 0, 0))
+        edges = interval_edges(spec.sigma.parts, *packing_matching(spec, split))
         assert len(edges) == 2
         assert_fragment_covers(spec, edges, range(1, 3), range(1, 4))
 
@@ -531,7 +527,7 @@ class TestPackingMatching:
         spec = make_spec(9, 14, [4, 3, 2])
         split = find_r_good_split(spec.sigma)
         assert split.L == 14
-        edges = interval_edges(spec.sigma.parts, *packing_matching(spec, split, 0, 0))
+        edges = interval_edges(spec.sigma.parts, *packing_matching(spec, split))
         assert len(edges) == 14
         assert_fragment_covers(spec, edges, range(1, 15), range(1, 10))
 
@@ -539,15 +535,72 @@ class TestPackingMatching:
         spec = make_spec(5, 6, [3, 2])
         split = find_r_good_split(spec.sigma)
         assert split.L == 6
-        edges = interval_edges(spec.sigma.parts, *packing_matching(spec, split, 0, 0))
+        edges = interval_edges(spec.sigma.parts, *packing_matching(spec, split))
         assert len(edges) == 6
         assert_fragment_covers(spec, edges, range(1, 7), range(1, 6))
 
     def test_bounds_checked(self):
-        spec = make_spec(3, 2, [2, 1])
-        split = find_r_good_split(spec.sigma)
-        with pytest.raises(ValidationError):
-            packing_matching(spec, split, 1, 0)
+        split = find_r_good_split(core.Sigma((2, 1)))
+        with pytest.raises(ValidationError, match="subgrid exceeds the 1x3 grid"):
+            packing_matching(make_spec(3, 1, [2, 1]), split)
+        with pytest.raises(ValidationError, match="subgrid exceeds the 2x2 grid"):
+            packing_matching(make_spec(2, 2, [2, 1]), split)
+
+
+class TestBlocksBuiltOnce:
+    """Each repeated block is built once at the origin and placed by
+    shifting, however many copies the grid takes."""
+
+    @staticmethod
+    def spy(monkeypatch, name):
+        calls = []
+        real = getattr(matching, name)
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(matching, name, counted)
+        return calls
+
+    def test_one_packed_block_per_width_bands_call(self, monkeypatch):
+        # (65, 68, (3,2)): rgood-1b lays 13 copies of the packed block in
+        # each of 8 packed strips
+        packed = self.spy(monkeypatch, "packing_matching")
+        per_call = []
+        real = matching._perfect_width_bands
+
+        def counted(*args):
+            before = len(packed)
+            real(*args)
+            per_call.append(len(packed) - before)
+
+        monkeypatch.setattr(matching, "_perfect_width_bands", counted)
+        spec = make_spec(65, 68, [3, 2])
+        rep = r_good_maximum_matching(spec)
+        assert rep.strategy == "rgood-1b" and rep.unmatched_count == 0
+        assert verify_matching(spec, rep.matching).ok
+        assert per_call == [1]
+
+    def test_one_band_for_stacked_strips(self, monkeypatch):
+        bands = self.spy(monkeypatch, "_band")
+        m = diagonal_perfect_matching(make_spec(1000, 1000, [3, 2]))
+        assert m.size == 200_000
+        assert len(bands) == 1
+
+    def test_one_band_and_block_per_residue(self, monkeypatch):
+        # (64, 116, (4,3,2)): regime 3 stacks 11 strips of 6 exchange blocks
+        # beside a band, then a packed residue
+        bands = self.spy(monkeypatch, "_band")
+        blocks = self.spy(monkeypatch, "dls_matching")
+        packed = self.spy(monkeypatch, "packing_matching")
+        spec = make_spec(64, 116, [4, 3, 2])
+        rep = r_good_maximum_matching(spec)
+        assert rep.strategy == "rgood-3"
+        assert verify_matching(spec, rep.matching).ok
+        assert len(blocks) == 1 and len(packed) == 1
+        # the strip band, the residue's shifted band, and packing's two halves
+        assert len(bands) <= 4
 
 
 class TestRGoodRegimes:
@@ -617,18 +670,21 @@ class TestRGoodRegimes:
         assert verify_matching(spec, rep.matching).ok
 
     def test_builds_wherever_the_gate_holds(self):
-        # r-good, n >= s and q >= (L-1)(r-1): rgood builds within its
+        # r-good, n >= s, q >= (L-1)(r-1), and n >= r or a full strip
+        # (q >= (L-1)(r-1) + r): rgood lays at least one edge within its
         # bound, and best_matching does at least as well
         for r in range(2, 7):
             for parts in partitions(r):
                 split = find_r_good_split(core.Sigma(parts)) if len(parts) >= 2 else None
                 if split is None:
                     continue
+                low = (split.L - 1) * (r - 1)
                 for n, q in itertools.product(range(len(parts), 13), range(1, 25)):
-                    if q < (split.L - 1) * (r - 1):
+                    if q < low or (n < r and q < low + r):
                         continue
                     spec = make_spec(n, q, parts)
                     rep = r_good_maximum_matching(spec)
+                    assert rep.nu >= 1, spec
                     assert verify_matching(spec, rep.matching).ok, spec
                     certs = dict(rep.certificates)
                     assert rep.unmatched_count <= certs.get("unmatched_bound", 0), spec
@@ -645,9 +701,9 @@ class TestRGoodRegimes:
 
     def test_permissive_marks_unproven(self):
         # q below the paper's regime-2 height L(r-1) = 16, above the gate's 12
-        spec = make_spec(4, 13, [2, 2, 1])
+        spec = make_spec(6, 13, [2, 2, 1])
         rep = r_good_maximum_matching(spec)
-        assert rep.strategy == "rgood-2" and not rep.proven
+        assert rep.strategy == "rgood-2" and not rep.proven and rep.nu == 13
         assert verify_matching(spec, rep.matching).ok
 
     def test_unproven_regime_3_reaches_the_ceiling(self):

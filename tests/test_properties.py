@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 
 from sigmahg.cli import run
 from sigmahg.core import (
+    Edge,
     Matching,
     NoRepresentation,
     VertexSet,
-    make_edge,
     make_spec,
     matching_to_json,
     spec_to_json,
@@ -98,7 +98,7 @@ def row_set_copy(m):
     without reading ``m.edges`` or ``m.unmatched``."""
     s = len(m.parts)
     edges = [
-        make_edge(
+        Edge(
             (m.classes[k + i], range(m.rows[k + i], m.rows[k + i] + m.parts[i]))
             for i in range(s)
         )

@@ -47,7 +47,7 @@ ROUTES = {
     "contract+rgood-3": ((7, 32, (2, 2, 2)), '"strategy": "contract+rgood-3"'),
     "contract+rgood-3-two-part": ((5, 6, (2, 2)), '"strategy": "contract+rgood-3-two-part"'),
     "contract+greedy": ((3, 2, (2, 2, 2)), '"strategy": "contract+greedy"'),
-    "unproven-regime": ((4, 13, (2, 2, 1)), '"unproven_regime": true'),
+    "unproven-regime": ((6, 13, (2, 2, 1)), '"unproven_regime": true'),
     "error-not-r-good": ((4, 5, (2, 2)), "is not r-good"),
     "error-one-part": ((3, 3, (3,)), "need at least two parts"),
     "error-no-edges": ((1, 3, (2, 1)), "has no edges"),
@@ -61,7 +61,7 @@ DIGESTS = {
     "grid/auto": "4eaad4ea3d0933cedcb7fc1cdcdebb257e47aeb45612f8b1c1bf4efcfdd653ef",
     "grid/diagonal": "45af2f8a99a2c1090f75841fcac04082270bf6bd6bc9bbb97e1fa8a036b1f914",
     "grid/rectangular": "36f5f3e8e0c71bd87678c23d285fc7608bd5aba488fa73f1bd759e45cf116de0",
-    "grid/rgood": "3f662204fea177e84a4ac4179cdad04f0186d98bd28499857b867fd29b001c6f",
+    "grid/rgood": "9b9b23dd699ba5bda08cf772643f06b5a0247cbe138a797281e8938e3b313130",
     "grid/greedy": "b26326582fe2fff3a800eab6d0a053c8ba40308f1a021d9a8198c63181beef6f",
     "diagonal": "8899f9c596b0ba7e13f2016f6f8ea47f9e0e27d63e76cb17f3dce2ef7510fa88",
     "all-ones": "c7934baf1e3fac877c698e15200afe370a3b1b91c0a107fa6c31cf83fb6e1e65",
@@ -77,7 +77,7 @@ DIGESTS = {
     "contract+rgood-3": "d4e345af4d1709e8a0df8a2cb89bf860d8ce6f2cbeb1a9a40e7a81924ea43840",
     "contract+rgood-3-two-part": "be234f2e0840e0e7dbd28f135a07cb62998007e81feec60a46e5236a34ef4a25",
     "contract+greedy": "4f2cc2645dc3c281888192e6f3b49f5ca282998ad3d4044fdcc27b36df563f02",
-    "unproven-regime": "90d411cbde134f6473eed20667ea09acd61435dfcbd473621593343e6df6a6ff",
+    "unproven-regime": "739f83e3cc276102e59d0c287e7a50c43e12c914997b669f6a2eb5a23ec60239",
     "error-not-r-good": "3dbe4604a9abde81c9e3bf2fd89d95bcba7664821ec384a751d56ab701bacf55",
     "error-one-part": "f399324bc4ae0a24ded82f6600e11c4060b8066860957c7ac69470e5bdaa4e39",
     "error-no-edges": "cd6496b6914b2fa19a6d4005ed78f0b358bc088cebeb61a5aeaf27f17af4935e",
