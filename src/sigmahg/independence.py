@@ -1,10 +1,10 @@
 """k-independence numbers and constrained-colouring bounds.
 
 The size of a largest set meeting every edge in at most k vertices is
-computed exactly from the class profile alone: enumerate the maximal
-monotone profiles whose capped overlap with sigma equals k, then take the
-best witness size.  The closed-form independence number and the colouring
-feasibility bounds derive from the same machinery.
+computed exactly from the class profile alone, by a dynamic program over
+the maximal monotone profiles whose capped overlap with sigma equals k.
+The closed-form independence number and the colouring feasibility bounds
+derive from the same machinery.
 """
 
 from __future__ import annotations
@@ -40,55 +40,21 @@ class FeasibleSequence(NamedTuple):
         """The length-n profile with the constant tail made explicit."""
         return self.b + (self.b[-1],) * (n - len(self.b))
 
-    def value(self, n: int, q: int) -> int:
-        """Witness size: q vertices in the first t-1 classes, b_i after."""
-        s = len(self.b)
-        return q * (self.t - 1) + sum(self.b[self.t - 1 :]) + (n - s) * self.b[-1]
-
 
 def _check_k(k: int, r: int) -> None:
     if not 1 <= k <= r - 1:
         raise ValidationError(f"k must satisfy 1 <= k <= r-1 = {r - 1}, got {k}")
 
 
-@lru_cache(maxsize=4096)
-def _maximal_profiles(q: int, k: int, parts: tuple[int, ...]) -> tuple[FeasibleSequence, ...]:
-    s = len(parts)
-    found: list[FeasibleSequence] = []
-
-    for t in range(1, s + 1):
-        prefix_overlap = sum(parts[: t - 1])
-        if prefix_overlap > k:
-            break
-        # Position t is the first drop below sigma, so b_t <= a_t - 1; the
-        # prefix is pinned to q (anything less is dominated by raising it).
-        # Depth-first over positions t..s with an explicit stack; a node is
-        # (0-based index i, the cap on entry i, what entries i.. must still
-        # contribute to the capped overlap, the entries chosen after the
-        # prefix as a linked list, newest first).
-        stack = [(t - 1, min(parts[t - 1] - 1, q), k - prefix_overlap, None)]
-        while stack:
-            i, upper, remaining, chain = stack.pop()
-            a_i = parts[i]
-            for value in range(upper, -1, -1):
-                # After the drop, an entry at or above its part and below its
-                # predecessor can be raised without changing the overlap; the
-                # first entry any dominating profile raises is such an entry.
-                if i >= t and a_i <= value < upper:
-                    continue
-                contrib = min(a_i, value)
-                if contrib > remaining:
-                    continue
-                if i + 1 < s:
-                    stack.append((i + 1, value, remaining - contrib, (value, chain)))
-                elif contrib == remaining:
-                    b, link = [value], chain
-                    while link is not None:
-                        entry, link = link
-                        b.append(entry)
-                    found.append(FeasibleSequence((q,) * (t - 1) + tuple(reversed(b)), k, t))
-
-    return tuple(sorted(found, key=lambda seq: seq.b, reverse=True))
+def _entries(a: int, prev: int, left: int) -> list[int]:
+    """The values, largest first, that the entry facing part ``a`` of a
+    maximal profile can take after ``prev`` (q for the first entry), with
+    ``left`` overlap to spend: it repeats ``prev`` or drops below ``a``.
+    Any other value lies at or above ``a`` and below ``prev``, so raising
+    it keeps the overlap: the profile would be dominated.
+    """
+    top = [prev] if min(a, prev) <= left else []
+    return top + list(range(min(a - 1, prev - 1, left), -1, -1))
 
 
 def enumerate_maximal_feasible(q: int, k: int, sigma: Sigma) -> list[FeasibleSequence]:
@@ -98,39 +64,66 @@ def enumerate_maximal_feasible(q: int, k: int, sigma: Sigma) -> list[FeasibleSeq
     descending, so equal inputs give identical lists.
     """
     _check_k(k, sigma.r)
-    if q < sigma.parts[0]:
-        raise ValidationError(f"need q >= largest part {sigma.parts[0]}, got q={q}")
-    return list(_maximal_profiles(q, k, sigma.parts))
+    parts = sigma.parts
+    if q < parts[0]:
+        raise ValidationError(f"need q >= largest part {parts[0]}, got q={q}")
+    found = []
+    stack = [((), q, k)]  # (entries so far, the last one, overlap left)
+    while stack:
+        head, prev, left = stack.pop()
+        if len(head) == len(parts):
+            if left == 0:
+                t = next(i for i, (b, a) in enumerate(zip(head, parts), 1) if b < a)
+                found.append(FeasibleSequence(head, k, t))
+            continue
+        a = parts[len(head)]
+        stack += [(head + (b,), b, left - min(a, b)) for b in _entries(a, prev, left)]
+    return sorted(found, reverse=True)
 
 
-def best_feasible_sequence(spec: HypergraphSpec, k: int) -> tuple[int, FeasibleSequence]:
-    """The maximising sequence and its witness size (ties resolved toward the
-    lexicographically largest profile)."""
-    best_value = -1
-    best_seq = None
-    for seq in enumerate_maximal_feasible(spec.q, k, spec.sigma):
-        value = seq.value(spec.n, spec.q)
-        if value > best_value:
-            best_value, best_seq = value, seq
-    assert best_seq is not None
-    return best_value, best_seq
+@lru_cache(maxsize=4096)
+def _best_heads(q: int, k: int, parts: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """For each last entry, the maximal profile of overlap k with the
+    largest (sum, profile), as (sum, s-entry head) pairs.
+
+    A forward pass over the parts whose states are (last entry, overlap
+    spent); the future of a state depends on nothing else, so keeping its
+    best (sum, head) is exact.  Entries after the drop are at most k, so
+    a layer has O(k^2) states whatever n, q and a_1 are.
+    """
+    layer = {(q, 0): (0, ())}
+    for a in parts:
+        nxt: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
+        for (prev, spent), (total, head) in layer.items():
+            for b in _entries(a, prev, k - spent):
+                key, cand = (b, spent + (b if b < a else a)), (total + b, head + (b,))
+                if cand > nxt.get(key, (-1,)):
+                    nxt[key] = cand
+        layer = nxt
+    return tuple(best for (_, spent), best in layer.items() if spent == k)
+
+
+def _best(spec: HypergraphSpec, k: int) -> tuple[int, tuple[int, ...]]:
+    """alpha_k and the head of a witness profile whose last entry repeats to
+    position n.  A profile's witness size is the sum of its n entries; ties
+    go to the lexicographically largest profile."""
+    _check_k(k, spec.r)
+    if not spec.has_edges:
+        return spec.num_vertices, (spec.q,)
+    tail = spec.n - spec.sigma.s
+    heads = _best_heads(spec.q, k, spec.sigma.parts)
+    return max((total + tail * head[-1], head) for total, head in heads)
 
 
 def alpha_k(spec: HypergraphSpec, k: int) -> int:
     """Largest size of a set meeting every edge in at most k vertices."""
-    _check_k(k, spec.r)
-    if not spec.has_edges:
-        return spec.num_vertices
-    return best_feasible_sequence(spec, k)[0]
+    return _best(spec, k)[0]
 
 
 def alpha_k_witness(spec: HypergraphSpec, k: int) -> tuple[int, tuple[int, ...]]:
     """alpha_k together with a witness profile of length n."""
-    _check_k(k, spec.r)
-    if not spec.has_edges:
-        return spec.num_vertices, (spec.q,) * spec.n
-    value, seq = best_feasible_sequence(spec, k)
-    return value, seq.full(spec.n)
+    value, head = _best(spec, k)
+    return value, head + (head[-1],) * (spec.n - len(head))
 
 
 def alpha(spec: HypergraphSpec) -> tuple[int, int]:

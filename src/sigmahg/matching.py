@@ -189,6 +189,11 @@ def expand(spec: HypergraphSpec, contracted_matching: Matching) -> Matching:
         )
     if m.classes is None:
         m = canonicalize(contracted, m)
+    return _lift(spec, t, m)
+
+
+def _lift(spec: HypergraphSpec, t: int, m: Matching) -> Matching:
+    """``expand`` for an interval-form matching already known valid."""
     d = spec.sigma.d
     runs = [(c, 1, t) for c in range(1, spec.n + 1) if t]
     runs += [(c, t + (j - 1) * d + 1, count * d) for c, j, count in m.runs]
@@ -303,13 +308,13 @@ def all_ones_maximum_matching(spec: HypergraphSpec) -> MatchingReport:
 def _contract_route(
     spec: HypergraphSpec, inner_build: Callable[[HypergraphSpec], MatchingReport]
 ) -> MatchingReport:
-    """Contract by d = gcd(sigma), build the inner report, expand it back;
+    """Contract by d = gcd(sigma), build the inner report, expand it back
+    without ``expand``'s check (constructions emit valid matchings);
     labelled ``contract+`` the inner strategy."""
-    inner_spec, _ = contract(spec)
+    inner_spec, t = contract(spec)
     inner = inner_build(inner_spec)
-    return MatchingReport.of(
-        spec, expand(spec, inner.matching), f"contract+{inner.strategy}", proven=inner.proven
-    )
+    lifted = _lift(spec, t, inner.matching)
+    return MatchingReport.of(spec, lifted, f"contract+{inner.strategy}", proven=inner.proven)
 
 
 def rectangular_maximum_matching(spec: HypergraphSpec) -> MatchingReport:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from sigmahg import core
+from sigmahg import core, independence
 from sigmahg.core import (
     NoEdges,
     Sigma,
@@ -23,7 +23,7 @@ from sigmahg.independence import (
     max_intersection_edge,
 )
 
-from conftest import small_specs
+from conftest import partitions, small_specs
 
 
 def stream_max_overlap(spec, b_set):
@@ -216,6 +216,34 @@ class TestAlphaK:
         assert values == sorted(values)
         assert values[-1] == alpha(spec)[0] == 3 * 10**9
         assert colouring_bounds(spec, 2, 8).alpha_beta_ind == 3 * 10**9
+
+    def test_never_enumerates_profiles(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("alpha_k enumerated the maximal profiles")
+
+        monkeypatch.setattr(independence, "enumerate_maximal_feasible", refuse)
+        spec = make_spec(6, 7, [4, 3, 2])
+        for k in range(1, spec.r):
+            assert alpha_k_witness(spec, k)[0] == alpha_k(spec, k)
+
+    def test_cost_does_not_grow_with_q_or_a1(self):
+        # the only maximal profile is (1, 0); a walk over every entry
+        # below a_1 = 10**8 takes tens of seconds
+        assert alpha_k_witness(make_spec(3, 10**8, [10**8, 1]), 1) == (1, (1, 0, 0))
+
+    def test_matches_the_best_enumerated_profile(self):
+        # the witness is the largest (size, full profile) over every
+        # maximal profile; the size of a full profile is its sum
+        for r in range(2, 8):
+            for parts in partitions(r):
+                sigma, s = Sigma(parts), len(parts)
+                for q in range(parts[0], parts[0] + 5):
+                    for k in range(1, r):
+                        seqs = enumerate_maximal_feasible(q, k, sigma)
+                        for n in range(s, s + 4):
+                            want = max((sum(seq.full(n)), seq.full(n)) for seq in seqs)
+                            got = alpha_k_witness(make_spec(n, q, parts), k)
+                            assert got == want, (n, q, parts, k)
 
     def test_monotone_in_k_q_n(self):
         for parts in [(2, 1), (2, 2), (3, 1)]:

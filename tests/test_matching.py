@@ -317,6 +317,26 @@ class TestContractExpand:
         assert verify_matching(spec, lifted).ok
         assert lifted.edges == ()
 
+    def test_expand_rejects_an_invalid_matching(self):
+        spec = make_spec(4, 8, [2, 2])
+        inner_spec, _ = contract(spec)
+        inner = diagonal_perfect_matching(inner_spec)
+        doubled = Matching(inner.edges + inner.edges[:1], VertexSet())
+        with pytest.raises(ValidationError, match="matching invalid"):
+            expand(spec, doubled)
+
+    def test_contract_route_does_not_verify_its_own_construction(self, monkeypatch):
+        # expand checks matchings passed in; the route lifts what the inner
+        # construction has just built without checking it again
+        calls = []
+        real = matching.verify_matching
+        monkeypatch.setattr(matching, "verify_matching", lambda *a: calls.append(a) or real(*a))
+        spec = make_spec(400, 401, [2, 2])
+        rep = best_matching(spec)
+        assert rep.strategy.startswith("contract+")
+        assert calls == []
+        assert real(spec, rep.matching).ok
+
     def test_round_trip_preserves_size(self):
         for parts, q in [((2, 2), 9), ((4, 2), 13), ((3, 3), 8)]:
             spec = make_spec(4, q, parts)

@@ -1,8 +1,9 @@
-"""Same answers for `match --emit --format json`, hashed per route group.
+"""Same answers for `match --emit --format json` and `alpha --all`, hashed.
 
-Each group runs one spec, or a small grid, through `cli.run` with every
-strategy variant and hashes the argv, exit code, stdout and stderr of each
-call.  A change that means to alter no output leaves the digests as they
+Each match group runs one spec, or a small grid, through `cli.run` with
+every strategy variant; the alpha group runs `alpha --all --format json`
+over every partition with r <= 7, n = 1..s+3 and q = 1..a_1+4.  Every
+group hashes the argv, exit code, stdout and stderr of each call.  A change that means to alter no output leaves the digests as they
 are; one that alters some regenerates those groups and says which calls
 changed.  To print the digests of the current code:
 
@@ -29,6 +30,9 @@ VARIANTS = {
 
 GRID = [(n, q, parts) for r in range(1, 5) for parts in partitions(r)
         for n in range(1, 5) for q in range(1, 5)]
+
+ALPHA_GRID = [(n, q, parts) for r in range(1, 8) for parts in partitions(r)
+              for n in range(1, len(parts) + 4) for q in range(1, parts[0] + 5)]
 
 # group -> (spec, text one of its calls must print): every label
 # best_matching reports, an unproven r-good report, each regime error
@@ -84,6 +88,7 @@ DIGESTS = {
     "error-no-regime": "940f57e422de21eff865135d2e3c0e96a5bbe6767fd0b356c6e5ed29277dfdbb",
     "error-corner-absorption": "63659515b5cb4bd84ce96cb15da1d042eda33efa7be3d0a52158339eac546025",
     "error-rectangular-height": "acc963b309da5df5b5a1782581b6b090dd67f1eff44aeb1498b682b734febdb6",
+    "alpha/all": "e99930e0b6fdd1f07c30043d0218792290f7bd4d64946ba3bf225a2570077e9b",
 }
 
 
@@ -96,6 +101,12 @@ def call(argv):
 
 def group_calls(group):
     """(argv, exit code, stdout, stderr) of every call in the group."""
+    if group == "alpha/all":
+        for n, q, parts in ALPHA_GRID:
+            argv = ["alpha", "--all", "--n", str(n), "--q", str(q),
+                    "--sigma", ",".join(map(str, parts)), "--format", "json"]
+            yield (argv, *call(argv))
+        return
     if group.startswith("grid/"):
         specs, variants = GRID, [VARIANTS[group[len("grid/"):]]]
     else:
@@ -114,7 +125,7 @@ def digest(calls):
     return h.hexdigest()
 
 
-GROUPS = [f"grid/{v}" for v in VARIANTS] + list(ROUTES)
+GROUPS = [f"grid/{v}" for v in VARIANTS] + list(ROUTES) + ["alpha/all"]
 
 
 @pytest.mark.parametrize("group", GROUPS)
