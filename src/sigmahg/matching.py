@@ -1,10 +1,13 @@
 """Matching constructions on the q x n vertex grid.
 
-Every construction here is deterministic: full-height bands are laid from
-the top of the grid, the residual band sits at the bottom, and blocks are
-placed left to right.  Each strategy returns a MatchingReport whose
-certificates record the bounds it is entitled to claim; callers can always
-re-check the output with :func:`sigmahg.core.verify_matching`.
+Rows within a class are interchangeable, so every construction here only
+chooses classes: a flat class list, each edge's parts in sigma's order,
+blocks placed left to right.  One realiser, :func:`_realise`, then lays the
+rows: each part takes the lowest free rows of its class in list order, and
+the rows left over sit unmatched at the bottom of their class.  Each
+strategy returns a MatchingReport whose certificates record the bounds it is
+entitled to claim; callers can always re-check the output with
+:func:`sigmahg.core.verify_matching`.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import contextlib
 import heapq
 import itertools
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from typing import NamedTuple
 
 from .core import (
@@ -29,11 +32,6 @@ from .core import (
     make_spec,
     verify_matching,
 )
-
-
-# flat interval lists (classes, first rows) of whole edges, each edge's
-# parts in one fixed order; see :class:`sigmahg.core.Matching`
-Intervals = tuple[list[int], list[int]]
 
 
 class DiagonalLatinSquare(NamedTuple):
@@ -85,8 +83,8 @@ class DiagonalPart(NamedTuple):
 
 
 class DlsFragment(NamedTuple):
-    """Edges perfectly covering an r x s subgrid, as flat interval lists
-    (see :class:`sigmahg.core.Matching`), plus the parts an exchange may
+    """Edges perfectly covering an r x s subgrid, as a flat class list
+    (each edge's parts in sigma's order), plus the parts an exchange may
     free from them, at most one per symbol.
 
     A diagonal-Latin-square block (s >= 3) frees its s main-diagonal parts,
@@ -94,7 +92,6 @@ class DlsFragment(NamedTuple):
     """
 
     classes: tuple[int, ...]
-    rows: tuple[int, ...]
     diagonal: tuple[DiagonalPart, ...]
 
 
@@ -109,37 +106,50 @@ def report_to_json(report: MatchingReport) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Canonical form and the contract/expand reduction
+# The realiser, the canonical form and the contract/expand reduction
 # ---------------------------------------------------------------------------
+
+
+def _realise(spec: HypergraphSpec, classes: Sequence[int]) -> Matching:
+    """The interval-form matching whose edges put their parts, in sigma's
+    order, in ``classes``: each part takes the lowest free rows of its class
+    in list order, and each class's leftover rows are one unmatched run at
+    its bottom.  Valid whenever no edge repeats a class and no class hosts
+    more than q rows."""
+    parts = spec.sigma.parts
+    next_row = [1] * (spec.n + 1)  # per class, the lowest free row
+    rows = []
+    for c, a in zip(classes, itertools.cycle(parts)):
+        rows.append(next_row[c])
+        next_row[c] += a
+    runs = [
+        (c, next_row[c], spec.q + 1 - next_row[c])
+        for c in range(1, spec.n + 1)
+        if next_row[c] <= spec.q
+    ]
+    return Matching.from_intervals(parts, classes, rows, runs)
+
+
+def _classes(spec: HypergraphSpec, m: Matching, invalid: str) -> Sequence[int]:
+    """The flat class list of m, each edge's parts in sigma's order, once
+    ``verify_matching`` accepts m; ``invalid`` prefixes its first violation."""
+    check = verify_matching(spec, m)
+    if not check.ok:
+        raise ValidationError(f"{invalid}: {check.violations[0].message}")
+    if m.classes is not None:
+        return m.classes
+    # a valid edge's part sizes are sigma's, so size order is sigma order
+    return [c for e in m.edges for c, _ in sorted(e.parts, key=lambda p: -len(p[1]))]
 
 
 def canonicalize(spec: HypergraphSpec, m: Matching) -> Matching:
     """Rearrange rows per class so every part occupies a consecutive row
-    interval and unmatched vertices sit at the top of their class.
+    interval and unmatched vertices sit at the bottom of their class.
 
     Only per-class row permutations are applied, so validity and the edge
     count are preserved exactly.
     """
-    check = verify_matching(spec, m)
-    if not check.ok:
-        raise ValidationError(f"input matching invalid: {check.violations[0].message}")
-    parts = spec.sigma.parts
-    if m.classes is None:
-        # a valid edge's part sizes are sigma's, so size order is sigma order
-        classes = [c for e in m.edges for c, _ in sorted(e.parts, key=lambda p: -len(p[1]))]
-    else:
-        classes = m.classes
-    sizes = parts * (len(classes) // len(parts))
-    free = [spec.q] * (spec.n + 1)  # per class; every row no part covers is unmatched
-    for c, a in zip(classes, sizes):
-        free[c] -= a
-    next_row = [u + 1 for u in free]
-    rows = []
-    for c, a in zip(classes, sizes):
-        rows.append(next_row[c])
-        next_row[c] += a
-    runs = [(c, 1, free[c]) for c in range(1, spec.n + 1) if free[c]]
-    return Matching.from_intervals(parts, classes, rows, runs)
+    return _realise(spec, _classes(spec, m, "input matching invalid"))
 
 
 def gcd_unmatched_lower_bound(spec: HypergraphSpec) -> int:
@@ -158,9 +168,9 @@ def gcd_unmatched_lower_bound(spec: HypergraphSpec) -> int:
 def contract(spec: HypergraphSpec) -> tuple[HypergraphSpec, int]:
     """Divide every part and the class height by d = gcd(sigma).
 
-    Returns the contracted spec H(n, r/d, q//d | sigma/d) plus the number
-    of top rows (q mod d) that are dropped; those rows are unmatched in any
-    canonical-form matching of the original.
+    Returns the contracted spec H(n, r/d, q//d | sigma/d) plus t = q mod d,
+    the number of rows in each class that no matching of the original can
+    cover.
     """
     d = spec.sigma.d
     if d < 2:
@@ -175,30 +185,13 @@ def contract(spec: HypergraphSpec) -> tuple[HypergraphSpec, int]:
 def expand(spec: HypergraphSpec, contracted_matching: Matching) -> Matching:
     """Lift a matching of the contracted hypergraph back to the original.
 
-    Contracted vertex (class i, row j) becomes the d consecutive original
-    rows [t + (j-1)d + 1 .. t + jd] of class i, where t = q mod d, so an
-    interval maps to an interval; the top t rows of every class join the
-    unmatched set.  A row-set input is canonicalised first.
+    Each edge keeps its classes, its parts d times as large; every class
+    then hosts at most d * (q // d) <= q rows, and the realiser lays them.
     """
-    contracted, t = contract(spec)
-    m = contracted_matching
-    check = verify_matching(contracted, m)
-    if not check.ok:
-        raise ValidationError(
-            f"matching invalid for {contracted}: {check.violations[0].message}"
-        )
-    if m.classes is None:
-        m = canonicalize(contracted, m)
-    return _lift(spec, t, m)
-
-
-def _lift(spec: HypergraphSpec, t: int, m: Matching) -> Matching:
-    """``expand`` for an interval-form matching already known valid."""
-    d = spec.sigma.d
-    runs = [(c, 1, t) for c in range(1, spec.n + 1) if t]
-    runs += [(c, t + (j - 1) * d + 1, count * d) for c, j, count in m.runs]
-    rows = [t + (j - 1) * d + 1 for j in m.rows]
-    return Matching.from_intervals(spec.sigma.parts, m.classes, rows, runs)
+    contracted, _ = contract(spec)
+    return _realise(
+        spec, _classes(contracted, contracted_matching, f"matching invalid for {contracted}")
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -206,28 +199,14 @@ def _lift(spec: HypergraphSpec, t: int, m: Matching) -> Matching:
 # ---------------------------------------------------------------------------
 
 
-def _band(sizes: tuple[int, ...], width: int) -> Intervals:
-    """The band over classes 1..width and rows 1..sum(sizes): one shifted
-    copy of ``sizes`` per class, each edge's parts in sizes' order.
-
-    Column j contributes part i at class (j+i) mod width, each part using
-    its fixed row block, so the band is covered exactly.
-    """
-    s = len(sizes)
+def _band(s: int, width: int) -> list[int]:
+    """The band over classes 1..width: ``width`` edges of s parts, edge j
+    putting part i in class (j+i) mod width, so each class hosts every
+    part once and the band is sum(parts) rows high."""
     if width < s:
         raise ValidationError(f"band of width {width} cannot host {s} parts")
     wrapped = [*range(1, width + 1), *range(1, s)]
-    return (
-        [c for j in range(width) for c in wrapped[j : j + s]],
-        list(itertools.accumulate(sizes[:-1], initial=1)) * width,
-    )
-
-
-def _place(out: Intervals, block: Intervals | DlsFragment, classes: int = 0, rows: int = 0) -> None:
-    """Append a copy of ``block`` (a band, packed block or fragment built at
-    the origin) shifted right by ``classes`` and down by ``rows``."""
-    out[0].extend([c + classes for c in block[0]] if classes else block[0])
-    out[1].extend([row + rows for row in block[1]] if rows else block[1])
+    return [c for j in range(width) for c in wrapped[j : j + s]]
 
 
 def diagonal_perfect_matching(spec: HypergraphSpec) -> Matching:
@@ -238,11 +217,7 @@ def diagonal_perfect_matching(spec: HypergraphSpec) -> Matching:
         raise RegimeError(f"need r | q, got r={r}, q={spec.q}")
     if spec.n < s:
         raise RegimeError(f"need n >= s, got n={spec.n}, s={s}")
-    band = _band(spec.sigma.parts, spec.n)
-    out: Intervals = ([], [])
-    for strip in range(spec.q // r):
-        _place(out, band, rows=strip * r)
-    return Matching.from_intervals(spec.sigma.parts, *out)
+    return _realise(spec, _band(s, spec.n) * (spec.q // r))
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +229,14 @@ def all_ones_maximum_matching(spec: HypergraphSpec) -> MatchingReport:
     """Maximum matching for sigma = (1,...,1), leaving exactly nq mod r
     vertices unmatched.
 
-    Layout: full bands of height r are the shifted bands of
-    :func:`_band`; the bottom residual strip is matched row by row
-    over width-r blocks, leaving a corner of g x t cells (g = n mod r,
-    t = q mod r), at most (r-1)^2.  Corner cells are then absorbed r at a
-    time by an exchange: the k-th corner cell replaces the row-1 part of
-    first-band edge k, and every r freed parts form one new edge.  Edge
-    k < (r-1)^2 spans classes k+1..k+r <= r^2 - r, left of every corner
-    class, and the freed parts lie in distinct classes.
+    Layout: q // r shifted bands of :func:`_band`, then t = q mod r rows
+    of width-r blocks, each block one edge per row, leaving g = n mod r
+    corner classes with t free rows each, at most (r-1)^2 cells.  Corner
+    cells are then absorbed r at a time by an exchange: the k-th corner
+    cell takes the place of the first part of first-band edge k, and every
+    r freed parts form one new edge.  Edge k < (r-1)^2 spans classes
+    k+1..k+r <= r^2 - r, left of every corner class, and the freed parts
+    lie in distinct classes.
     """
     sigma, n, q = spec.sigma, spec.n, spec.q
     r = sigma.r
@@ -272,31 +247,21 @@ def all_ones_maximum_matching(spec: HypergraphSpec) -> MatchingReport:
     if q < r:
         raise RegimeError(f"need q >= r = {r}, got q={q}")
 
-    bands = q // r
-    band = _band(sigma.parts, n)
-    cls, rows = out = ([], [])
-    for strip in range(bands):
-        _place(out, band, rows=strip * r)
-
-    full_width = n // r
-    strip = range(bands * r + 1, q + 1)
+    t, full_width = q % r, n // r
+    cls = _band(r, n) * (q // r)
     for blk in range(full_width):
-        for row in strip:
-            cls.extend(range(blk * r + 1, blk * r + r + 1))
-            rows.extend([row] * r)
+        cls.extend(list(range(blk * r + 1, blk * r + r + 1)) * t)
 
-    corner = [(c, row) for row in strip for c in range(full_width * r + 1, n + 1)]
+    corner = list(range(full_width * r + 1, n + 1)) * t
     used = len(corner) // r * r
-    # first-band edge k (no wrap-around, k < (r-1)^2) has its row-1 part
-    # first: it joins the new edges and corner cell k takes its place
+    # first-band edge k (no wrap-around, k < (r-1)^2) frees its first part
+    # to the new edges and corner cell k takes its place
     cls.extend(cls[: used * r : r])
-    rows.extend(rows[: used * r : r])
-    for k, (c, row) in enumerate(corner[:used]):
-        cls[k * r], rows[k * r] = c, row
+    cls[: used * r : r] = corner[:used]
 
     return MatchingReport.of(
         spec,
-        Matching.from_intervals(sigma.parts, *out, [(c, row, 1) for c, row in corner[used:]]),
+        _realise(spec, cls),
         "all-ones",
         certificates=(
             ("nu_upper", (n * q) // r),
@@ -308,12 +273,11 @@ def all_ones_maximum_matching(spec: HypergraphSpec) -> MatchingReport:
 def _contract_route(
     spec: HypergraphSpec, inner_build: Callable[[HypergraphSpec], MatchingReport]
 ) -> MatchingReport:
-    """Contract by d = gcd(sigma), build the inner report, expand it back
-    without ``expand``'s check (constructions emit valid matchings);
-    labelled ``contract+`` the inner strategy."""
-    inner_spec, t = contract(spec)
-    inner = inner_build(inner_spec)
-    lifted = _lift(spec, t, inner.matching)
+    """Contract by d = gcd(sigma), build the inner report and realise its
+    classes on the original, without ``expand``'s check (constructions emit
+    valid matchings); labelled ``contract+`` the inner strategy."""
+    inner = inner_build(contract(spec)[0])
+    lifted = _realise(spec, inner.matching.classes)
     return MatchingReport.of(spec, lifted, f"contract+{inner.strategy}", proven=inner.proven)
 
 
@@ -428,12 +392,11 @@ def dls_matching(spec: HypergraphSpec) -> DlsFragment:
     """Perfect cover of the r x s subgrid at the origin: rows 1..r of
     classes 1..s.
 
-    Column i of the subgrid is cut into consecutive blocks sized by the
-    symbols running down column i of a diagonal Latin square of order s;
-    edge j collects, from each column, the block carrying symbol D[j][i].
-    Each edge then realises sigma, and the s blocks on the square's main
-    diagonal land in s different edges with every part size represented
-    once - exactly what the exchange augmentation needs.
+    Edge j puts its part of symbol D[j][i] in class i+1, for the diagonal
+    Latin square D of order s; each column holds every symbol once, so each
+    class hosts r rows.  Each edge then realises sigma, and the s parts on
+    the square's main diagonal land in s different edges with every part
+    size represented once - exactly what the exchange augmentation needs.
     """
     sigma = spec.sigma
     s, r = sigma.s, sigma.r
@@ -443,30 +406,25 @@ def dls_matching(spec: HypergraphSpec) -> DlsFragment:
         )
     if r > spec.q or s > spec.n:
         raise ValidationError(f"r x s subgrid exceeds the {spec.q}x{spec.n} grid")
-    square = generate_dls(s)
-    classes, rows = [0] * (s * s), [0] * (s * s)
+    cells = generate_dls(s).cells
+    classes = [0] * (s * s)
     for i in range(s):
-        row = 1
-        for j in range(s):  # block j of column i carries symbol D[j][i]
-            sym = square.cells[j][i]
-            classes[j * s + sym], rows[j * s + sym] = i + 1, row
-            row += sigma.parts[sym]
-    diagonal = tuple(DiagonalPart(i, square.cells[i][i]) for i in range(s))
-    return DlsFragment(tuple(classes), tuple(rows), diagonal)
+        for j in range(s):
+            classes[j * s + cells[j][i]] = i + 1
+    diagonal = tuple(DiagonalPart(i, cells[i][i]) for i in range(s))
+    return DlsFragment(tuple(classes), diagonal)
 
 
-def _pair_fragment(spec: HypergraphSpec) -> DlsFragment:
-    """Two edges perfectly covering the r x 2 subgrid at the origin, for
-    sigma = (a1, a2): the top a1 rows of the first column with the top a2
-    rows of the second, and the two bottom blocks.  The second column's
-    top block (symbol 1) is the part an exchange frees."""
-    a1, r = spec.sigma.parts[0], spec.r
-    return DlsFragment((1, 2, 2, 1), (1, 1, r - a1 + 1, a1 + 1), (DiagonalPart(0, 1),))
+# two edges perfectly covering the r x 2 subgrid at the origin, for sigma =
+# (a1, a2): a1 rows of the first column with a2 of the second, and the
+# reverse; an exchange frees the first edge's part of symbol 1
+_PAIR_FRAGMENT = DlsFragment((1, 2, 2, 1), (DiagonalPart(0, 1),))
 
 
-def packing_matching(spec: HypergraphSpec, split: RGoodSplit) -> Intervals:
+def packing_matching(spec: HypergraphSpec, split: RGoodSplit) -> list[int]:
     """L edges perfectly covering the L x r subgrid at the origin (rows
-    1..L of classes 1..r), each edge's parts in sigma's order.
+    1..L of classes 1..r), as a flat class list, each edge's parts in
+    sigma's order.
 
     The left L x a half is tiled with L/a square bands packed with the A
     parts, the right L x b half with L/b bands of the B parts; the i-th
@@ -475,25 +433,17 @@ def packing_matching(spec: HypergraphSpec, split: RGoodSplit) -> Intervals:
     a, b, L = split.a, split.b, split.L
     if L > spec.q or spec.r > spec.n:
         raise ValidationError(f"L x r subgrid exceeds the {spec.q}x{spec.n} grid")
-    sigma_a = tuple(spec.sigma.parts[i - 1] for i in split.set_a)
-    sigma_b = tuple(spec.sigma.parts[i - 1] for i in split.set_b)
-    band_a, band_b = _band(sigma_a, a), _band(sigma_b, b)
-    halves_a: Intervals = ([], [])
-    halves_b: Intervals = ([], [])
-    for blk in range(L // a):
-        _place(halves_a, band_a, rows=blk * a)
-    for blk in range(L // b):
-        _place(halves_b, band_b, a, blk * b)
+    sa, sb = len(split.set_a), len(split.set_b)
+    halves_a = _band(sa, a) * (L // a)
+    halves_b = [c + a for c in _band(sb, b)] * (L // b)
     # an edge's A half then B half hold part indices set_a + set_b; put
     # them in sigma's order
     joined = split.set_a + split.set_b
     order = sorted(range(len(joined)), key=joined.__getitem__)
-    sa, sb = len(sigma_a), len(sigma_b)
-    out: Intervals = ([], [])
-    for flat, half_a, half_b in zip(out, halves_a, halves_b):
-        for k in range(L):
-            edge = half_a[k * sa : (k + 1) * sa] + half_b[k * sb : (k + 1) * sb]
-            flat.extend([edge[j] for j in order])
+    out: list[int] = []
+    for k in range(L):
+        edge = halves_a[k * sa : (k + 1) * sa] + halves_b[k * sb : (k + 1) * sb]
+        out.extend([edge[j] for j in order])
     return out
 
 
@@ -503,27 +453,20 @@ def packing_matching(spec: HypergraphSpec, split: RGoodSplit) -> Intervals:
 
 
 def _perfect_width_bands(
-    out: Intervals,
-    spec: HypergraphSpec,
-    split: RGoodSplit,
-    height: int,
-    row0: int,
-    num_classes: int,
-) -> None:
-    """Cover rows row0+1..row0+height over classes 1..num_classes (r | width)
-    by height = x*L + y*r: x packed L-bands then y shifted r-bands, appended
-    to ``out``."""
+    spec: HypergraphSpec, split: RGoodSplit, height: int, num_classes: int
+) -> list[int]:
+    """Cover ``height`` rows of classes 1..num_classes (r | width) by
+    height = x*L + y*r: x strips of packed L x r blocks side by side, then
+    y shifted r-bands."""
     r, L = spec.r, split.L
     x, y = frobenius_decompose(height, L, r)
+    cls: list[int] = []
     if x:
         packed = packing_matching(spec, split)
-        for strip in range(x):
-            for grid in range(num_classes // r):
-                _place(out, packed, grid * r, row0 + strip * L)
+        cls += [c + grid * r for grid in range(num_classes // r) for c in packed] * x
     if y:
-        band = _band(spec.sigma.parts, num_classes)
-        for strip in range(y):
-            _place(out, band, rows=row0 + x * L + strip * r)
+        cls += _band(spec.sigma.s, num_classes) * y
+    return cls
 
 
 def _rgood_residue(spec: HypergraphSpec, split: RGoodSplit, exchange: bool) -> MatchingReport:
@@ -544,50 +487,37 @@ def _rgood_residue(spec: HypergraphSpec, split: RGoodSplit, exchange: bool) -> M
         raise RegimeError(
             f"corner absorption needs {p * b} exchange blocks, only {f * full} available"
         )
-    cls, rows = out = ([], [])
-    # the first edge of each consumable exchange block, in order
-    fragments: list[int] = []
-    band = block = None  # each built once at the origin, shifted to every place
+    # a full strip is n edges: f exchange blocks of s edges each, built
+    # once at the origin and shifted, then a band over the other classes
+    cls: list[int] = []
+    block = None
     if full:
-        band = _band(sigma.parts, n - f * s)
         if f:
-            block = (dls_matching if s >= 3 else _pair_fragment)(spec)
-
-    for strip in range(full):
-        row0 = strip * r
-        for blk in range(f):
-            fragments.append(len(cls) // s)
-            _place(out, block, blk * s, row0)
-        _place(out, band, f * s, row0)
+            block = dls_matching(spec) if s >= 3 else _PAIR_FRAGMENT
+            cls = [c + blk * s for blk in range(f) for c in block.classes]
+        cls = (cls + [c + f * s for c in _band(s, n - f * s)]) * full
 
     if t_cl >= 1 and q1 > 0:
-        _perfect_width_bands(out, spec, split, q1, full * r, t_cl * r)
+        cls += _perfect_width_bands(spec, split, q1, t_cl * r)
 
-    corner_classes = range(t_cl * r + 1, n + 1)
-    top = full * r  # corner classes are matched down to this row
     bookkeeping: list[tuple[str, int]] = [
         ("q1", q1),
         ("t", t_cl),
         ("b", b),
     ]
     if exchange:
-        firsts = list(itertools.accumulate(sigma.parts[:-1], initial=1))
-        exchanges = iter(fragments)
-        for c in corner_classes:
-            for grp in range(p):
-                # cut c's r rows into one block per symbol; each freed
-                # part's edge takes c's block of the same symbol, and the
-                # freed parts with c's other blocks form one new edge
+        # the first edge of each exchange block, in order
+        exchanges = (strip * n + blk * s for strip in range(full) for blk in range(f))
+        for c in range(t_cl * r + 1, n + 1):
+            for _ in range(p):
+                # each freed part's edge takes corner class c in its place,
+                # and the freed parts with c's other parts form one new edge
                 new_cls = [c] * s
-                new_rows = [top + grp * r + row for row in firsts]
                 first = next(exchanges)
                 for dp in block.diagonal:
                     k = (first + dp.edge_pos) * s + dp.symbol
                     new_cls[dp.symbol], cls[k] = cls[k], c
-                    new_rows[dp.symbol], rows[k] = rows[k], new_rows[dp.symbol]
                 cls.extend(new_cls)
-                rows.extend(new_rows)
-        top += p * r
         bookkeeping += [("p", p), ("z", z), ("f", f), ("h", n - f * s)]
         strategy = "rgood-3" if s >= 3 else "rgood-3-two-part"
         bound, q_min = (r - 1) ** 2, L * (r * r - 1)
@@ -599,11 +529,9 @@ def _rgood_residue(spec: HypergraphSpec, split: RGoodSplit, exchange: bool) -> M
         strategy = "rgood-2"
         bound, q_min = L * (r - 1) ** 2, L * (r - 1)
 
-    runs = [(c, top + 1, q - top) for c in corner_classes if q > top]
-    m = Matching.from_intervals(sigma.parts, cls, rows, runs)
     report = MatchingReport.of(
         spec,
-        m,
+        _realise(spec, cls),
         strategy,
         tuple([("nu_upper", n * q // r), ("unmatched_bound", bound)] + bookkeeping),
         proven=q >= q_min,
@@ -652,9 +580,7 @@ def r_good_maximum_matching(spec: HypergraphSpec) -> MatchingReport:
     # gcd(L, r) = 1, and q = x*L + y*r with x, y >= 0 exactly when the least
     # x = q * L^-1 (mod r) has x*L <= q
     if n % r == 0 and q * pow(L, -1, r) % r * L <= q:
-        out: Intervals = ([], [])
-        _perfect_width_bands(out, spec, split, q, 0, n)
-        m = Matching.from_intervals(sigma.parts, *out)
+        m = _realise(spec, _perfect_width_bands(spec, split, q, n))
         return MatchingReport.of(spec, m, "rgood-1b", (("nu_upper", n * q // r),))
     low, short = (L - 1) * (r - 1), ""
     if n >= s and q >= low:
@@ -676,14 +602,14 @@ def r_good_maximum_matching(spec: HypergraphSpec) -> MatchingReport:
 # ---------------------------------------------------------------------------
 
 
-def _greedy_choices(spec: HypergraphSpec) -> list[tuple[int, ...]]:
-    """The classes greedy gives each edge's parts, decided on free-row
+def _greedy_choices(spec: HypergraphSpec) -> list[int]:
+    """The flat class list greedy gives its edges, decided on free-row
     counts alone: the largest parts go to the classes with the most free
     rows (ties toward lower class indices).  Stops when no assignment fits;
     sorted-to-sorted assignment fits whenever any assignment does."""
     parts = spec.sigma.parts
     s = spec.sigma.s
-    choices: list[tuple[int, ...]] = []
+    choices: list[int] = []
     if not spec.has_edges:
         return choices
     heap = [(-spec.q, c) for c in range(1, spec.n + 1)]  # (-free rows, class)
@@ -691,31 +617,14 @@ def _greedy_choices(spec: HypergraphSpec) -> list[tuple[int, ...]]:
         top = [heapq.heappop(heap) for _ in range(s)]
         if any(-free < a for (free, _), a in zip(top, parts)):
             return choices
-        choices.append(tuple(c for _, c in top))
+        choices.extend(c for _, c in top)
         for (free, c), a in zip(top, parts):
             heapq.heappush(heap, (free + a, c))
 
 
 def greedy_matching(spec: HypergraphSpec) -> Matching:
-    """Place the edges of :func:`_greedy_choices` in turn, each part taking
-    the lowest free rows of its class."""
-    return _place_greedy(spec, _greedy_choices(spec))
-
-
-def _place_greedy(spec: HypergraphSpec, choices: list[tuple[int, ...]]) -> Matching:
-    parts = spec.sigma.parts
-    next_row = [1] * (spec.n + 1)  # per class, the lowest free row
-    rows = []
-    for classes in choices:
-        for c, a in zip(classes, parts):
-            rows.append(next_row[c])
-            next_row[c] += a
-    runs = [
-        (c, next_row[c], spec.q + 1 - next_row[c])
-        for c in range(1, spec.n + 1)
-        if next_row[c] <= spec.q
-    ]
-    return Matching.from_intervals(parts, itertools.chain.from_iterable(choices), rows, runs)
+    """The realised edges of :func:`_greedy_choices`."""
+    return _realise(spec, _greedy_choices(spec))
 
 
 def best_matching(spec: HypergraphSpec) -> MatchingReport:
@@ -756,8 +665,8 @@ def best_matching(spec: HypergraphSpec) -> MatchingReport:
     else:  # no candidate reached the ceiling
         if best is None or d == 1:
             choices = _greedy_choices(spec)
-            if best is None or len(choices) > best.nu:
-                best = MatchingReport.of(spec, _place_greedy(spec, choices), "greedy")
+            if best is None or len(choices) > best.nu * spec.sigma.s:
+                best = MatchingReport.of(spec, _realise(spec, choices), "greedy")
 
     certs = [("nu_upper", (n * q) // r)]
     if d >= 2:

@@ -497,7 +497,7 @@ def one_of_each_record():
         matching.generate_dls(4),
         matching.find_r_good_split(spec.sigma),
         matching.best_matching(spec),
-        matching.DlsFragment((1, 2), (1, 1), (matching.DiagonalPart(0, 1),)),
+        matching.DlsFragment((1, 2), (matching.DiagonalPart(0, 1),)),
         oracle.OracleBudget(),
         independence.enumerate_maximal_feasible(6, 2, spec.sigma)[0],
         independence.colouring_bounds(spec, 1, 2),

@@ -11,7 +11,6 @@ from sigmahg.core import (
     Matching,
     ValidationError,
     VertexSet,
-    interval_edges,
     make_spec,
     verify_matching,
 )
@@ -21,6 +20,7 @@ from sigmahg.matching import (
     RegimeError,
     RGoodSplit,
     _greedy_choices,
+    _realise,
     _rgood_residue,
     all_ones_maximum_matching,
     best_matching,
@@ -160,19 +160,13 @@ def assert_dls_valid(square):
     assert {square.cells[i][i] for i in range(order)} == symbols
 
 
-def fragment_edges(spec, frag):
-    return interval_edges(spec.sigma.parts, frag.classes, frag.rows)
-
-
-def assert_fragment_covers(spec, edges, rows, classes):
-    covered = set()
-    for e in edges:
-        assert core.is_edge(spec, e)
-        for v in e.vertices():
-            assert v not in covered, "fragment edges overlap"
-            covered.add(v)
-    expected = {core.Vertex(c, row) for c in classes for row in rows}
-    assert covered == expected
+def realise_block(parts, classes, height, width):
+    """A block's class list realised on its own height x width grid, where
+    it must be a perfect matching."""
+    own = make_spec(width, height, parts)
+    m = _realise(own, classes)
+    assert m.runs == () and verify_matching(own, m).ok
+    return m
 
 
 class TestCanonicalize:
@@ -190,16 +184,22 @@ class TestCanonicalize:
                 rs = sorted(rows)
                 assert rs == list(range(rs[0], rs[0] + len(rs)))
 
-    def test_unmatched_move_to_top(self):
-        spec = make_spec(3, 4, [2, 1])
+    def test_unmatched_move_to_bottom(self):
+        # (3, 5, (2,1)) leaves three vertices unmatched; scrambling the rows
+        # scatters them, and canonicalize gathers each class's at its bottom
+        spec = make_spec(3, 5, [2, 1])
         m = greedy_matching(spec)
-        canon = canonicalize(spec, m)
+        assert len(m.unmatched) == 3
+        perms = {c: dict(zip(range(1, 6), [5, 1, 4, 2, 3])) for c in range(1, 4)}
+        canon = canonicalize(spec, permute_rows(spec, m, perms))
         assert verify_matching(spec, canon).ok
+        assert canon.size == m.size
         for c in range(1, 4):
             rows = sorted(
                 v.row_index for v in canon.unmatched.members if v.class_index == c
             )
-            assert rows == list(range(1, len(rows) + 1))
+            assert rows == list(range(spec.q - len(rows) + 1, spec.q + 1))
+        assert sum(count for _, _, count in canon.runs) == 3
 
     def test_empty_matching_unchanged(self):
         spec = make_spec(3, 3, [2, 1])
@@ -324,6 +324,16 @@ class TestContractExpand:
         doubled = Matching(inner.edges + inner.edges[:1], VertexSet())
         with pytest.raises(ValidationError, match="matching invalid"):
             expand(spec, doubled)
+
+    def test_expand_verifies_a_row_set_input_once(self, monkeypatch):
+        calls = []
+        real = matching.verify_matching
+        monkeypatch.setattr(matching, "verify_matching", lambda *a: calls.append(a) or real(*a))
+        spec = make_spec(6, 8, [2, 2])
+        inner = diagonal_perfect_matching(contract(spec)[0])
+        lifted = expand(spec, Matching(inner.edges, inner.unmatched))
+        assert len(calls) == 1
+        assert lifted.size == inner.size and real(spec, lifted).ok
 
     def test_contract_route_does_not_verify_its_own_construction(self, monkeypatch):
         # expand checks matchings passed in; the route lifts what the inner
@@ -506,9 +516,7 @@ class TestDlsMatching:
     def test_three_part_block(self):
         spec = make_spec(3, 9, [4, 3, 2])
         frag = dls_matching(spec)
-        edges = fragment_edges(spec, frag)
-        assert len(edges) == 3
-        assert_fragment_covers(spec, edges, range(1, 10), range(1, 4))
+        assert realise_block(spec.sigma.parts, frag.classes, 9, 3).size == 3
         # one diagonal part per edge, all sizes represented
         assert sorted(dp.edge_pos for dp in frag.diagonal) == [0, 1, 2]
         sizes = sorted(spec.sigma.parts[dp.symbol] for dp in frag.diagonal)
@@ -520,9 +528,7 @@ class TestDlsMatching:
     def test_singleton_parts(self):
         spec = make_spec(3, 3, [1, 1, 1])
         frag = dls_matching(spec)
-        edges = fragment_edges(spec, frag)
-        assert len(edges) == 3
-        assert_fragment_covers(spec, edges, range(1, 4), range(1, 4))
+        assert realise_block(spec.sigma.parts, frag.classes, 3, 3).size == 3
 
     def test_two_parts_refused(self):
         with pytest.raises(NoSuchDesign):
@@ -539,25 +545,22 @@ class TestPackingMatching:
     def test_tiny_split(self):
         spec = make_spec(3, 2, [2, 1])
         split = find_r_good_split(spec.sigma)
-        edges = interval_edges(spec.sigma.parts, *packing_matching(spec, split))
-        assert len(edges) == 2
-        assert_fragment_covers(spec, edges, range(1, 3), range(1, 4))
+        packed = realise_block(spec.sigma.parts, packing_matching(spec, split), 2, 3)
+        assert packed.size == 2
 
     def test_worked_split(self):
         spec = make_spec(9, 14, [4, 3, 2])
         split = find_r_good_split(spec.sigma)
         assert split.L == 14
-        edges = interval_edges(spec.sigma.parts, *packing_matching(spec, split))
-        assert len(edges) == 14
-        assert_fragment_covers(spec, edges, range(1, 15), range(1, 10))
+        packed = realise_block(spec.sigma.parts, packing_matching(spec, split), 14, 9)
+        assert packed.size == 14
 
     def test_two_part_split(self):
         spec = make_spec(5, 6, [3, 2])
         split = find_r_good_split(spec.sigma)
         assert split.L == 6
-        edges = interval_edges(spec.sigma.parts, *packing_matching(spec, split))
-        assert len(edges) == 6
-        assert_fragment_covers(spec, edges, range(1, 7), range(1, 6))
+        packed = realise_block(spec.sigma.parts, packing_matching(spec, split), 6, 5)
+        assert packed.size == 6
 
     def test_bounds_checked(self):
         split = find_r_good_split(core.Sigma((2, 1)))
@@ -592,8 +595,9 @@ class TestBlocksBuiltOnce:
 
         def counted(*args):
             before = len(packed)
-            real(*args)
+            cls = real(*args)
             per_call.append(len(packed) - before)
+            return cls
 
         monkeypatch.setattr(matching, "_perfect_width_bands", counted)
         spec = make_spec(65, 68, [3, 2])
@@ -772,6 +776,21 @@ class TestGreedyAndBest:
             assert got == want, spec
             assert report_to_json(got) == report_to_json(want), spec
             assert core.matching_to_json(got.matching) == core.matching_to_json(want.matching)
+
+    def test_every_strategy_lays_rows_by_the_realiser(self):
+        # constructions choose classes only; their rows are _realise's
+        builds = [best_matching, r_good_maximum_matching, all_ones_maximum_matching,
+                  rectangular_maximum_matching,
+                  lambda spec: MatchingReport.of(spec, diagonal_perfect_matching(spec), "")]
+        for spec in equivalence_specs():
+            for build in builds:
+                try:
+                    m = build(spec).matching
+                except (RegimeError, NoSuchDesign, core.NoRepresentation):
+                    continue
+                again = _realise(spec, m.classes)
+                assert (m.rows, m.runs) == (again.rows, again.runs), spec
+                assert m == again, spec
 
     def test_greedy_choices_survive_contraction(self):
         # with every part a multiple of d, each class's free rows stay

@@ -3,9 +3,14 @@
 Each match group runs one spec, or a small grid, through `cli.run` with
 every strategy variant; the alpha group runs `alpha --all --format json`
 over every partition with r <= 7, n = 1..s+3 and q = 1..a_1+4.  Every
-group hashes the argv, exit code, stdout and stderr of each call.  A change that means to alter no output leaves the digests as they
-are; one that alters some regenerates those groups and says which calls
-changed.  To print the digests of the current code:
+group hashes the argv, exit code, stdout and stderr of each call.  The
+`grid/classes` group runs the constructions in process over the grid and
+the route specs and hashes everything but the rows: strategy, nu, unmatched
+count, certificates, `proven` and each edge's classes, or the error text.
+It pins the layout-free answer, so a change that only moves rows leaves it
+as it is.  A change that means to alter no output leaves the digests as
+they are; one that alters some regenerates those groups and says which
+calls changed.  To print the digests of the current code:
 
     PYTHONPATH=src python tests/test_same_answers.py
 """
@@ -16,7 +21,9 @@ import io
 
 import pytest
 
+from sigmahg import matching
 from sigmahg.cli import run
+from sigmahg.core import SigmaHypergraphError, make_spec
 
 from conftest import partitions
 
@@ -62,32 +69,33 @@ ROUTES = {
 }
 
 DIGESTS = {
-    "grid/auto": "4eaad4ea3d0933cedcb7fc1cdcdebb257e47aeb45612f8b1c1bf4efcfdd653ef",
-    "grid/diagonal": "45af2f8a99a2c1090f75841fcac04082270bf6bd6bc9bbb97e1fa8a036b1f914",
+    "grid/auto": "1fd713f6074b1f7ddf3515f81744492a6833d8e37d4b5af69d89e5763ec564db",
+    "grid/diagonal": "1c7567ff204b439e88ec501a4f5e3033a5efda735b9f4e551f666fc9b00fc411",
     "grid/rectangular": "36f5f3e8e0c71bd87678c23d285fc7608bd5aba488fa73f1bd759e45cf116de0",
-    "grid/rgood": "9b9b23dd699ba5bda08cf772643f06b5a0247cbe138a797281e8938e3b313130",
+    "grid/rgood": "c11a06ab9951c8db88f52f8ff649434207c2ca52e04609a3ce69f124ac697fef",
     "grid/greedy": "b26326582fe2fff3a800eab6d0a053c8ba40308f1a021d9a8198c63181beef6f",
-    "diagonal": "8899f9c596b0ba7e13f2016f6f8ea47f9e0e27d63e76cb17f3dce2ef7510fa88",
-    "all-ones": "c7934baf1e3fac877c698e15200afe370a3b1b91c0a107fa6c31cf83fb6e1e65",
+    "grid/classes": "e71445aee73c7b2b884a91e05364e4964643cd46c0f530e3a7d5ca5188f20bbf",
+    "diagonal": "95f64b2ba53d38519f9001d7743690b248c5e9f8e250807eeb3b8e6e93c52f7f",
+    "all-ones": "4b5e7bb29c860acf8192ef618b8fc37c9340c435eeabcd496c9ea32b9ec8a5c3",
     "rgood-1b": "8484e250805d1079dec573a23eec0428df78a9bac7d45919d2f8e7379b863ff7",
-    "rgood-2": "5042c499ed331c691bed3ccb12c966b0a10f3f30fa2845c89624c6c82a83f69e",
-    "rgood-3": "b73ded1eba26b8cd7de116a362b643b9c965b6e6a012deabe80fa3f78398ac11",
-    "rgood-3-two-part": "19152d089de5ec75bbdf8563664842440f459c9da85c82f678aa4be6eb0f8bf6",
+    "rgood-2": "7147783c82151b0868a697da553be8ba4289ec9c6cb6dfe30ffb36667ee9fcdb",
+    "rgood-3": "8b81407f6fe98e07656b9cd50aec3821fcab62113aba15906c6437c2827efb1f",
+    "rgood-3-two-part": "b8dc462fdd97193e1b31fdf4930a45496eb7f58bc011aa02d71f5ced00d35466",
     "greedy": "62e09d750b34dc3a29bedc6a39ab1b34ad30f71992b1ca70dd500c1ff4d75d53",
-    "contract+diagonal": "1ae9ac0a46b852fa68e63da98d6de2901bf70b0749fe9c76b9d407b7b56c990e",
-    "contract+all-ones": "76bfafc401dcf906fa2fc274ac16c1eafe1fd5d51b663882d5be520289b377cd",
+    "contract+diagonal": "369922bdb0fe5a90db33ea346cbe3b697ab7e664ca8d6262c2c7525d4695df74",
+    "contract+all-ones": "2ae5dcf95046089d4a607798e1779ba2b91cf6534a4e251211b2c891543b86f4",
     "contract+rgood-1b": "034345c536a328e7ebd71157a44e0660cc225e4a9c46ae8cf6fd84a6ea69f205",
     "contract+rgood-2": "8c68020e4e69906453873173ad9977b933629ec821ab99819cec8fd7ae003f60",
-    "contract+rgood-3": "d4e345af4d1709e8a0df8a2cb89bf860d8ce6f2cbeb1a9a40e7a81924ea43840",
-    "contract+rgood-3-two-part": "be234f2e0840e0e7dbd28f135a07cb62998007e81feec60a46e5236a34ef4a25",
+    "contract+rgood-3": "65b5d2f3fcba247d3b19dc23b9306e33125a7642a843455a9dfc01f6af521376",
+    "contract+rgood-3-two-part": "6dfcdf0af2be08f9c3ea75bbaad2d4400f126a596ef77f49ed57c06ed074241b",
     "contract+greedy": "4f2cc2645dc3c281888192e6f3b49f5ca282998ad3d4044fdcc27b36df563f02",
-    "unproven-regime": "739f83e3cc276102e59d0c287e7a50c43e12c914997b669f6a2eb5a23ec60239",
-    "error-not-r-good": "3dbe4604a9abde81c9e3bf2fd89d95bcba7664821ec384a751d56ab701bacf55",
+    "unproven-regime": "27cc4ab875301b0151028f890c8e30fd6160a0b9208fe94aa3db6ef5a35ffd3d",
+    "error-not-r-good": "ea29f3f3eb796ab0a3d9b9712e2977bb5ceaf91bb61d8e3a58f0a482c493a707",
     "error-one-part": "f399324bc4ae0a24ded82f6600e11c4060b8066860957c7ac69470e5bdaa4e39",
     "error-no-edges": "cd6496b6914b2fa19a6d4005ed78f0b358bc088cebeb61a5aeaf27f17af4935e",
     "error-no-regime": "940f57e422de21eff865135d2e3c0e96a5bbe6767fd0b356c6e5ed29277dfdbb",
-    "error-corner-absorption": "63659515b5cb4bd84ce96cb15da1d042eda33efa7be3d0a52158339eac546025",
-    "error-rectangular-height": "acc963b309da5df5b5a1782581b6b090dd67f1eff44aeb1498b682b734febdb6",
+    "error-corner-absorption": "33a94dd3d74c6979e24750a370c08146faeb072b47d02b194f0c844ea5f12c9b",
+    "error-rectangular-height": "e3e74d86378d7a6dea4c3910d162dfae7a2ac4d47872a61c672ef2ca319e21d6",
     "alpha/all": "e99930e0b6fdd1f07c30043d0218792290f7bd4d64946ba3bf225a2570077e9b",
 }
 
@@ -99,8 +107,34 @@ def call(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+BUILDS = {
+    "best": matching.best_matching,
+    "rgood": matching.r_good_maximum_matching,
+    "rectangular": matching.rectangular_maximum_matching,
+    "greedy": lambda spec: matching.MatchingReport.of(
+        spec, matching.greedy_matching(spec), "greedy"
+    ),
+}
+
+
+def layout_free(name, spec):
+    """Everything a build reports except rows, or its error text."""
+    try:
+        rep = BUILDS[name](spec)
+    except SigmaHypergraphError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return repr((rep.strategy, rep.nu, rep.unmatched_count, rep.certificates, rep.proven,
+                 rep.matching.classes))
+
+
 def group_calls(group):
     """(argv, exit code, stdout, stderr) of every call in the group."""
+    if group == "grid/classes":
+        for n, q, parts in GRID + [spec for spec, _ in ROUTES.values()]:
+            for name in BUILDS:
+                yield ([name, str(n), str(q), ",".join(map(str, parts))], 0,
+                       layout_free(name, make_spec(n, q, parts)), "")
+        return
     if group == "alpha/all":
         for n, q, parts in ALPHA_GRID:
             argv = ["alpha", "--all", "--n", str(n), "--q", str(q),
@@ -125,7 +159,7 @@ def digest(calls):
     return h.hexdigest()
 
 
-GROUPS = [f"grid/{v}" for v in VARIANTS] + list(ROUTES) + ["alpha/all"]
+GROUPS = [f"grid/{v}" for v in VARIANTS] + ["grid/classes"] + list(ROUTES) + ["alpha/all"]
 
 
 @pytest.mark.parametrize("group", GROUPS)
