@@ -194,18 +194,23 @@ def _cmd_match(args: argparse.Namespace) -> int:
     from . import matching
 
     spec = _load_spec(args)
-    if args.strategy == "auto":
-        report = matching.best_matching(spec)
-    elif args.strategy == "diagonal":
-        report = matching.MatchingReport.of(
-            spec, matching.diagonal_perfect_matching(spec), "diagonal"
-        )
-    elif args.strategy == "rectangular":
-        report = matching.rectangular_maximum_matching(spec)
-    elif args.strategy == "rgood":
-        report = matching.r_good_maximum_matching(spec)
-    else:
-        report = matching.MatchingReport.of(spec, matching.greedy_matching(spec), "greedy")
+    try:
+        if args.strategy == "auto":
+            report = matching.best_matching(spec)
+        elif args.strategy == "diagonal":
+            report = matching.MatchingReport.of(
+                spec, matching.diagonal_perfect_matching(spec), "diagonal"
+            )
+        elif args.strategy == "rectangular":
+            report = matching.rectangular_maximum_matching(spec)
+        elif args.strategy == "rgood":
+            report = matching.r_good_maximum_matching(spec)
+        else:
+            report = matching.MatchingReport.of(spec, matching.greedy_matching(spec), "greedy")
+    except (OverflowError, MemoryError) as exc:
+        raise ValidationError(
+            f"{spec} has {spec.num_vertices} vertices, too large to match in memory"
+        ) from exc
     payload = {"spec": core.spec_to_json(spec)}
     payload.update(matching.report_to_json(report))
     if args.emit and args.format == "json":

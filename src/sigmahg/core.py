@@ -15,8 +15,8 @@ import itertools
 import json
 import math
 from collections import Counter
-from operator import add, itemgetter
-from typing import Iterable, Iterator, NamedTuple
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 class SigmaHypergraphError(Exception):
@@ -260,59 +260,62 @@ class Matching:
     Row-set form, ``Matching(edges, unmatched)``: any Edge objects and any
     vertex set, kept as given (decoded or tampered input).
 
-    Interval form, :meth:`from_intervals`, the form every construction
-    emits: part i of edge e has size ``parts[i]`` (sigma's order) and takes
-    the consecutive rows ``rows[k] .. rows[k] + parts[i] - 1`` of class
-    ``classes[k]``, k = e*s + i; ``runs`` lists the unmatched vertices as
-    (class, first row, count) runs.  ``edges`` and ``unmatched`` are built
-    from the intervals on first read.
+    Class-list form, :meth:`from_classes`, the form every construction
+    emits: a spec and a flat class list, edge e putting its part of size
+    ``sigma.parts[i]`` in class ``classes[e*s + i]``.  The rows follow from
+    these by :func:`_lay`'s rule and are laid on first read, once; ``edges``
+    and ``unmatched`` are built from them.
 
     The container does not enforce validity; :func:`verify_matching`
     reports violations so that tampered inputs can be diagnosed.
     """
 
-    __slots__ = ("parts", "classes", "rows", "runs", "_edges", "_unmatched")
+    __slots__ = ("spec", "classes", "_laid", "_edges", "_unmatched")
 
     def __init__(self, edges: Iterable[Edge], unmatched: VertexSet) -> None:
-        self.parts = self.classes = self.rows = self.runs = None
+        self.spec = self.classes = self._laid = None
         self._edges = tuple(edges)
         self._unmatched = unmatched
 
     @classmethod
-    def from_intervals(
-        cls,
-        parts: tuple[int, ...],
-        classes: Iterable[int],
-        rows: Iterable[int],
-        runs: Iterable[tuple[int, int, int]] = (),
-    ) -> "Matching":
-        """An interval-form matching; the lists are copied into tuples."""
+    def from_classes(cls, spec: HypergraphSpec, classes: Iterable[int]) -> "Matching":
+        """A class-list matching of spec; the list is copied into a tuple.
+        Refuses a partial edge and a class outside 1..n."""
         m = cls.__new__(cls)
-        m.parts, m.classes, m.rows, m.runs = parts, tuple(classes), tuple(rows), tuple(runs)
-        if len(m.classes) != len(m.rows) or len(m.classes) % len(parts):
-            raise ValidationError("interval lists do not hold whole edges")
-        m._edges = m._unmatched = None
+        m.spec, m.classes = spec, tuple(classes)
+        if len(m.classes) % spec.sigma.s:
+            raise ValidationError("class list does not hold whole edges")
+        if m.classes and (min(m.classes) < 1 or max(m.classes) > spec.n):
+            raise ValidationError(f"class list leaves the classes 1..{spec.n}")
+        m._laid = m._edges = m._unmatched = None
         return m
+
+    def _rows(self) -> tuple[list[int], list[int]]:
+        """:func:`_lay` of a class-list matching, computed on first read."""
+        if self._laid is None:
+            self._laid = _lay(self.spec, self.classes)
+        return self._laid
 
     @property
     def edges(self) -> tuple[Edge, ...]:
         if self._edges is None:
-            self._edges = interval_edges(self.parts, self.classes, self.rows)
+            self._edges = tuple(
+                Edge((c, range(row, row + a)) for c, row, a in parts)
+                for parts in _edge_parts(self)
+            )
         return self._edges
 
     @property
     def unmatched(self) -> VertexSet:
         if self._unmatched is None:
-            self._unmatched = VertexSet.of(
-                (c, row) for c, lo, count in self.runs for row in range(lo, lo + count)
-            )
+            self._unmatched = VertexSet.of(_run_cells(self))
         return self._unmatched
 
     @property
     def size(self) -> int:
         if self.classes is None:
             return len(self._edges)
-        return len(self.classes) // len(self.parts)
+        return len(self.classes) // self.spec.sigma.s
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matching):
@@ -326,16 +329,17 @@ class Matching:
         return f"Matching(edges={self.edges!r}, unmatched={self.unmatched!r})"
 
 
-def interval_edges(
-    parts: tuple[int, ...], classes: Iterable[int], rows: Iterable[int]
-) -> tuple[Edge, ...]:
-    """The Edge objects of flat interval lists (see :class:`Matching`)."""
-    s = len(parts)
-    cells = [
-        (c, frozenset(range(row, row + a)))
-        for c, row, a in zip(classes, rows, itertools.cycle(parts))
-    ]
-    return tuple(Edge(tuple(cells[k : k + s])) for k in range(0, len(cells), s))
+def _lay(spec: HypergraphSpec, classes: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The rows of a class list by the lowest-free-rows rule: each part, in
+    list order, takes the lowest free rows of its class.  Returns each
+    part's first row and, per class (index 0 unused), its lowest row left
+    free; the rows from there to q are the class's unmatched run."""
+    free = [1] * (spec.n + 1)
+    rows = []
+    for c, a in zip(classes, itertools.cycle(spec.sigma.parts)):
+        rows.append(free[c])
+        free[c] += a
+    return rows, free
 
 
 def all_vertices(spec: HypergraphSpec) -> Iterator[Vertex]:
@@ -465,48 +469,35 @@ class VerificationReport(NamedTuple):
         return not self.violations
 
 
-def _intervals_valid(spec: HypergraphSpec, m: Matching) -> bool:
-    """True iff interval-form matching m passes every check of
-    :func:`verify_matching`, shown without a per-cell list: every part and
-    unmatched run lies on the grid, no edge repeats a class, and, with the
-    classes laid end to end (cell (c, row) at c*q + row), the parts and
-    runs tile the n*q cells: sorted, each ends where the next starts.
-    False on anything else, including shapes the checks would pass but that
-    this test does not recognise."""
-    n, q, s = spec.n, spec.q, spec.sigma.s
-    if m.parts != spec.sigma.parts:
-        return False
-    classes = m.classes + tuple(c for c, _, _ in m.runs)
-    rows = m.rows + tuple(row for _, row, _ in m.runs)
-    lengths = m.parts * (len(m.classes) // s) + tuple(count for _, _, count in m.runs)
-    if not classes or min(classes) < 1 or max(classes) > n:
-        return False
-    if min(rows) < 1 or min(lengths) < 1 or max(map(add, rows, lengths)) > q + 1:
-        return False
-    columns = (m.classes[i::s] for i in range(s))
+def _loads_fit(spec: HypergraphSpec, classes: Sequence[int]) -> bool:
+    """True iff no edge of the class list repeats a class and no class
+    hosts more than q rows.  A class list laid on its own spec is then
+    valid: :func:`_lay` tiles each class from row 1 with its parts, and the
+    unmatched run fills the rest."""
+    parts, s = spec.sigma.parts, spec.sigma.s
+    columns = [classes[i::s] for i in range(s)]
     if s > 1 and not set(map(len, map(set, zip(*columns)))) <= {s}:
         return False
-    if sum(lengths) != n * q:
-        return False
-    starts = list(map(add, map(q.__mul__, classes), rows))
-    ends = sorted(map(add, starts, lengths))
-    starts.sort()
-    return starts[1:] == ends[:-1]
+    loads: Counter[int] = Counter()
+    for a, column in zip(parts, columns):
+        for c, count in Counter(column).items():
+            loads[c] += a * count
+    return max(loads.values(), default=0) <= spec.q
 
 
 def verify_matching(spec: HypergraphSpec, m: Matching) -> VerificationReport:
     """Check a matching against the spec; violations are report content,
     never exceptions.
 
-    An interval-form matching that passes :func:`_intervals_valid` is valid
-    without further work.  Any other matching is checked cell by cell:
-    grid cell (c, row) has id (c-1)*q + (row-1); ``owner`` holds, per id,
-    the first edge covering it (-1 if none), and edge cells off the grid
+    A class-list matching of this very spec that passes :func:`_loads_fit`
+    is valid without further work.  Any other matching is checked cell by
+    cell: grid cell (c, row) has id (c-1)*q + (row-1); ``owner`` holds, per
+    id, the first edge covering it (-1 if none), and edge cells off the grid
     keep their first edge in a side table, so overlaps there are reported
     too.  That check refuses a grid too large to index in memory with a
     ValidationError.
     """
-    if m.classes is not None and _intervals_valid(spec, m):
+    if m.spec == spec and _loads_fit(spec, m.classes):
         return VerificationReport(())
     n, q, parts = spec.n, spec.q, spec.sigma.parts
     violations: list[Violation] = []
@@ -624,8 +615,8 @@ def edge_from_json(obj: list) -> Edge:
 
 
 def matching_to_json(m: Matching) -> dict:
-    """The canonical object; an interval-form matching is encoded from its
-    intervals, each edge's parts in the order Edge keeps them."""
+    """The canonical object; a class-list matching is encoded from its laid
+    rows, each edge's parts in the order Edge keeps them."""
     if m.classes is None:
         edges = [edge_to_json(e) for e in m.edges]
         unmatched = sorted(m.unmatched.members)
@@ -639,16 +630,18 @@ def matching_to_json(m: Matching) -> dict:
 
 
 def _edge_parts(m: Matching) -> Iterator[list[tuple[int, int, int]]]:
-    """Per edge of interval-form m, its parts as (class, first row, size),
-    in the order Edge keeps them."""
-    s = len(m.parts)
+    """Per edge of class-list m, its parts as (class, first row, size), in
+    the order Edge keeps them."""
+    parts, s = m.spec.sigma.parts, m.spec.sigma.s
+    rows = m._rows()[0]
     for k in range(0, len(m.classes), s):
-        yield sorted(zip(m.classes[k : k + s], m.rows[k : k + s], m.parts))
+        yield sorted(zip(m.classes[k : k + s], rows[k : k + s], parts))
 
 
 def _run_cells(m: Matching) -> list[tuple[int, int]]:
-    """The unmatched cells of interval-form m, sorted."""
-    return sorted({(c, row) for c, lo, count in m.runs for row in range(lo, lo + count)})
+    """The unmatched cells of class-list m, sorted."""
+    free, q = m._rows()[1], m.spec.q
+    return [(c, row) for c in range(1, m.spec.n + 1) for row in range(free[c], q + 1)]
 
 
 def dumps_with_matching(payload: dict, m: Matching) -> str:
@@ -663,16 +656,16 @@ def dumps_with_matching(payload: dict, m: Matching) -> str:
 
 def _matching_text(m: Matching, nl: str) -> str:
     """The indent=2 JSON text of ``matching_to_json(m)`` with ``nl`` as its
-    line break plus the indent of the line holding its opening brace.  An
-    interval-form matching is written from one text template per part
-    size, the part's class and rows filled in by ``%``."""
+    line break plus the indent of the line holding its opening brace.  A
+    class-list matching is written from one text template per part size,
+    the part's class and rows filled in by ``%``."""
     if m.classes is None:
         return json.dumps(matching_to_json(m), sort_keys=True, indent=2).replace("\n", nl)
     nl1, nl2, nl3, nl4, nl5 = (nl + "  " * k for k in range(1, 6))
     templates = {
         a: "{%s\"class\": %%d,%s\"rows\": [%s%s%s]%s}"
         % (nl4, nl4, nl5, ("," + nl5).join(["%d"] * a), nl4, nl3)
-        for a in set(m.parts)
+        for a in set(m.spec.sigma.parts)
     }
     edges = [
         _json_list([templates[a] % (c, *range(row, row + a)) for c, row, a in parts], nl2)

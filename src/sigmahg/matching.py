@@ -2,19 +2,18 @@
 
 Rows within a class are interchangeable, so every construction here only
 chooses classes: a flat class list, each edge's parts in sigma's order,
-blocks placed left to right.  One realiser, :func:`_realise`, then lays the
-rows: each part takes the lowest free rows of its class in list order, and
-the rows left over sit unmatched at the bottom of their class.  Each
-strategy returns a MatchingReport whose certificates record the bounds it is
-entitled to claim; callers can always re-check the output with
-:func:`sigmahg.core.verify_matching`.
+blocks placed left to right, which :meth:`Matching.from_classes` keeps as
+the matching.  Its rows are laid only when read: each part takes the lowest
+free rows of its class in list order, and the rows left over sit unmatched
+at the bottom of their class.  Each strategy returns a MatchingReport whose
+certificates record the bounds it is entitled to claim; callers can always
+re-check the output with :func:`sigmahg.core.verify_matching`.
 """
 
 from __future__ import annotations
 
 import contextlib
 import heapq
-import itertools
 import math
 from collections.abc import Callable, Sequence
 from typing import NamedTuple
@@ -106,28 +105,8 @@ def report_to_json(report: MatchingReport) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# The realiser, the canonical form and the contract/expand reduction
+# The canonical form and the contract/expand reduction
 # ---------------------------------------------------------------------------
-
-
-def _realise(spec: HypergraphSpec, classes: Sequence[int]) -> Matching:
-    """The interval-form matching whose edges put their parts, in sigma's
-    order, in ``classes``: each part takes the lowest free rows of its class
-    in list order, and each class's leftover rows are one unmatched run at
-    its bottom.  Valid whenever no edge repeats a class and no class hosts
-    more than q rows."""
-    parts = spec.sigma.parts
-    next_row = [1] * (spec.n + 1)  # per class, the lowest free row
-    rows = []
-    for c, a in zip(classes, itertools.cycle(parts)):
-        rows.append(next_row[c])
-        next_row[c] += a
-    runs = [
-        (c, next_row[c], spec.q + 1 - next_row[c])
-        for c in range(1, spec.n + 1)
-        if next_row[c] <= spec.q
-    ]
-    return Matching.from_intervals(parts, classes, rows, runs)
 
 
 def _classes(spec: HypergraphSpec, m: Matching, invalid: str) -> Sequence[int]:
@@ -149,7 +128,7 @@ def canonicalize(spec: HypergraphSpec, m: Matching) -> Matching:
     Only per-class row permutations are applied, so validity and the edge
     count are preserved exactly.
     """
-    return _realise(spec, _classes(spec, m, "input matching invalid"))
+    return Matching.from_classes(spec, _classes(spec, m, "input matching invalid"))
 
 
 def gcd_unmatched_lower_bound(spec: HypergraphSpec) -> int:
@@ -186,10 +165,10 @@ def expand(spec: HypergraphSpec, contracted_matching: Matching) -> Matching:
     """Lift a matching of the contracted hypergraph back to the original.
 
     Each edge keeps its classes, its parts d times as large; every class
-    then hosts at most d * (q // d) <= q rows, and the realiser lays them.
+    then hosts at most d * (q // d) <= q rows, so the class list stays valid.
     """
     contracted, _ = contract(spec)
-    return _realise(
+    return Matching.from_classes(
         spec, _classes(contracted, contracted_matching, f"matching invalid for {contracted}")
     )
 
@@ -217,7 +196,7 @@ def diagonal_perfect_matching(spec: HypergraphSpec) -> Matching:
         raise RegimeError(f"need r | q, got r={r}, q={spec.q}")
     if spec.n < s:
         raise RegimeError(f"need n >= s, got n={spec.n}, s={s}")
-    return _realise(spec, _band(s, spec.n) * (spec.q // r))
+    return Matching.from_classes(spec, _band(s, spec.n) * (spec.q // r))
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +240,7 @@ def all_ones_maximum_matching(spec: HypergraphSpec) -> MatchingReport:
 
     return MatchingReport.of(
         spec,
-        _realise(spec, cls),
+        Matching.from_classes(spec, cls),
         "all-ones",
         certificates=(
             ("nu_upper", (n * q) // r),
@@ -273,11 +252,11 @@ def all_ones_maximum_matching(spec: HypergraphSpec) -> MatchingReport:
 def _contract_route(
     spec: HypergraphSpec, inner_build: Callable[[HypergraphSpec], MatchingReport]
 ) -> MatchingReport:
-    """Contract by d = gcd(sigma), build the inner report and realise its
-    classes on the original, without ``expand``'s check (constructions emit
-    valid matchings); labelled ``contract+`` the inner strategy."""
+    """Contract by d = gcd(sigma), build the inner report and keep its
+    class list on the original, without ``expand``'s check (constructions
+    emit valid matchings); labelled ``contract+`` the inner strategy."""
     inner = inner_build(contract(spec)[0])
-    lifted = _realise(spec, inner.matching.classes)
+    lifted = Matching.from_classes(spec, inner.matching.classes)
     return MatchingReport.of(spec, lifted, f"contract+{inner.strategy}", proven=inner.proven)
 
 
@@ -531,7 +510,7 @@ def _rgood_residue(spec: HypergraphSpec, split: RGoodSplit, exchange: bool) -> M
 
     report = MatchingReport.of(
         spec,
-        _realise(spec, cls),
+        Matching.from_classes(spec, cls),
         strategy,
         tuple([("nu_upper", n * q // r), ("unmatched_bound", bound)] + bookkeeping),
         proven=q >= q_min,
@@ -580,7 +559,7 @@ def r_good_maximum_matching(spec: HypergraphSpec) -> MatchingReport:
     # gcd(L, r) = 1, and q = x*L + y*r with x, y >= 0 exactly when the least
     # x = q * L^-1 (mod r) has x*L <= q
     if n % r == 0 and q * pow(L, -1, r) % r * L <= q:
-        m = _realise(spec, _perfect_width_bands(spec, split, q, n))
+        m = Matching.from_classes(spec, _perfect_width_bands(spec, split, q, n))
         return MatchingReport.of(spec, m, "rgood-1b", (("nu_upper", n * q // r),))
     low, short = (L - 1) * (r - 1), ""
     if n >= s and q >= low:
@@ -623,8 +602,8 @@ def _greedy_choices(spec: HypergraphSpec) -> list[int]:
 
 
 def greedy_matching(spec: HypergraphSpec) -> Matching:
-    """The realised edges of :func:`_greedy_choices`."""
-    return _realise(spec, _greedy_choices(spec))
+    """The class-list matching of :func:`_greedy_choices`."""
+    return Matching.from_classes(spec, _greedy_choices(spec))
 
 
 def best_matching(spec: HypergraphSpec) -> MatchingReport:
@@ -666,7 +645,7 @@ def best_matching(spec: HypergraphSpec) -> MatchingReport:
         if best is None or d == 1:
             choices = _greedy_choices(spec)
             if best is None or len(choices) > best.nu * spec.sigma.s:
-                best = MatchingReport.of(spec, _realise(spec, choices), "greedy")
+                best = MatchingReport.of(spec, Matching.from_classes(spec, choices), "greedy")
 
     certs = [("nu_upper", (n * q) // r)]
     if d >= 2:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 from sigmahg import core
@@ -33,6 +34,24 @@ def recheck_matching(spec, m):
     if seen & m.unmatched.members:
         return False
     return seen | m.unmatched.members == universe
+
+
+def row_set_copy(m):
+    """The row-set matching of class-list m, its rows laid here without
+    reading ``m.edges`` or ``m.unmatched``: each part, in list order, takes
+    the lowest free rows of its class, and the rows left over in each
+    class are unmatched."""
+    spec, s = m.spec, m.spec.sigma.s
+    free = [1] * (spec.n + 1)
+    cells = []
+    for c, a in zip(m.classes, itertools.cycle(spec.sigma.parts)):
+        cells.append((c, range(free[c], free[c] + a)))
+        free[c] += a
+    edges = [core.Edge(cells[k : k + s]) for k in range(0, len(cells), s)]
+    unmatched = core.VertexSet.of(
+        (c, row) for c in range(1, spec.n + 1) for row in range(free[c], spec.q + 1)
+    )
+    return core.Matching(edges, unmatched)
 
 
 def small_specs(max_r=4, max_n=4, max_q=4, with_edges_only=False):

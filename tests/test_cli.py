@@ -138,6 +138,18 @@ class TestMatchCommand:
         code, _, err = invoke(argv + ["--permissive"], capsys)
         assert code == 1 and "--permissive" in err
 
+    def test_grid_too_large_to_build_is_invalid(self, capsys):
+        # 10^20 classes overflow the first list a construction makes, so
+        # this allocates nothing
+        for strategy in ("auto", "diagonal", "rgood"):
+            code, out, err = invoke(
+                ["match", "--n", str(10**20), "--q", "5", "--sigma", "3,2",
+                 "--strategy", strategy],
+                capsys,
+            )
+            assert code == 1 and out == "", strategy
+            assert err.startswith("error: ") and "too large" in err and err.count("\n") == 1
+
     def test_forty_parts_return_at_once(self):
         # 40 parts have 2^40 subsets: the r-good split must not try them all
         proc = subprocess.run(

@@ -360,8 +360,8 @@ class TestJsonCodecs:
         from sigmahg.matching import greedy_matching
 
         for spec in small_specs(max_r=4, max_n=5, max_q=5):
-            interval = greedy_matching(spec)
-            for m in (interval, Matching(interval.edges, interval.unmatched)):
+            built = greedy_matching(spec)
+            for m in (built, Matching(built.edges, built.unmatched)):
                 payload = {"spec": core.spec_to_json(spec), "nu": m.size, "zz": [1, {"a": 2}]}
                 expected = dict(payload, matching=core.matching_to_json(m))
                 assert core.dumps_with_matching(payload, m) == json.dumps(

@@ -20,7 +20,6 @@ from sigmahg.matching import (
     RegimeError,
     RGoodSplit,
     _greedy_choices,
-    _realise,
     _rgood_residue,
     all_ones_maximum_matching,
     best_matching,
@@ -40,7 +39,7 @@ from sigmahg.matching import (
 )
 from sigmahg.oracle import OracleBudget, bf_max_matching
 
-from conftest import partitions
+from conftest import partitions, row_set_copy
 
 BUDGET = OracleBudget(max_vertices=32, max_edges=500_000, time_limit=60.0)
 
@@ -161,11 +160,11 @@ def assert_dls_valid(square):
 
 
 def realise_block(parts, classes, height, width):
-    """A block's class list realised on its own height x width grid, where
-    it must be a perfect matching."""
+    """A block's class list laid on its own height x width grid, where it
+    must be a perfect matching."""
     own = make_spec(width, height, parts)
-    m = _realise(own, classes)
-    assert m.runs == () and verify_matching(own, m).ok
+    m = Matching.from_classes(own, classes)
+    assert not m.unmatched and verify_matching(own, m).ok
     return m
 
 
@@ -199,7 +198,7 @@ class TestCanonicalize:
                 v.row_index for v in canon.unmatched.members if v.class_index == c
             )
             assert rows == list(range(spec.q - len(rows) + 1, spec.q + 1))
-        assert sum(count for _, _, count in canon.runs) == 3
+        assert len(canon.unmatched) == 3
 
     def test_empty_matching_unchanged(self):
         spec = make_spec(3, 3, [2, 1])
@@ -778,7 +777,8 @@ class TestGreedyAndBest:
             assert core.matching_to_json(got.matching) == core.matching_to_json(want.matching)
 
     def test_every_strategy_lays_rows_by_the_realiser(self):
-        # constructions choose classes only; their rows are _realise's
+        # constructions choose classes only: each emits its class list on
+        # its spec, and the rows read back are the lowest free ones
         builds = [best_matching, r_good_maximum_matching, all_ones_maximum_matching,
                   rectangular_maximum_matching,
                   lambda spec: MatchingReport.of(spec, diagonal_perfect_matching(spec), "")]
@@ -788,9 +788,7 @@ class TestGreedyAndBest:
                     m = build(spec).matching
                 except (RegimeError, NoSuchDesign, core.NoRepresentation):
                     continue
-                again = _realise(spec, m.classes)
-                assert (m.rows, m.runs) == (again.rows, again.runs), spec
-                assert m == again, spec
+                assert m.spec == spec and m == row_set_copy(m), spec
 
     def test_greedy_choices_survive_contraction(self):
         # with every part a multiple of d, each class's free rows stay
@@ -881,7 +879,7 @@ class TestGreedyAndBest:
         # one spec per route best_matching can take; only reading
         # matching.edges or matching.unmatched may build Edge or VertexSet
         def refuse(*args):
-            raise AssertionError("built on the interval path")
+            raise AssertionError("built on the class-list path")
 
         monkeypatch.setattr(core.Edge, "__new__", refuse)
         monkeypatch.setattr(core.VertexSet, "of", refuse)
@@ -896,3 +894,30 @@ class TestGreedyAndBest:
             assert verify_matching(spec, rep.matching).ok, spec
             core.matching_to_json(rep.matching)
             assert canonicalize(spec, rep.matching).size == rep.nu
+
+    def test_only_reading_rows_lays_them(self, monkeypatch):
+        # building and verifying a class-list matching lays no rows; the
+        # encoder lays them once and reads them for edges and unmatched
+        calls = []
+
+        def spy(spec, classes, real=core._lay):
+            calls.append(spec)
+            return real(spec, classes)
+
+        monkeypatch.setattr(core, "_lay", spy)
+        spec = make_spec(1000, 1000, [3, 2])
+        rep = best_matching(spec)
+        assert verify_matching(spec, rep.matching).ok
+        assert calls == []
+        obj = core.matching_to_json(rep.matching)
+        assert len(obj["edges"]) == rep.nu == 200_000 and obj["unmatched"] == []
+        assert calls == [spec]
+
+
+class TestClassListConstructor:
+    def test_refuses_a_partial_edge_and_a_class_off_the_grid(self):
+        spec = make_spec(3, 4, [2, 1])
+        assert Matching.from_classes(spec, [1, 2, 3, 1]).size == 2
+        for classes in ([1, 2, 3], [1, 4], [0, 1], [1, 2, -1, 3]):
+            with pytest.raises(ValidationError):
+                Matching.from_classes(spec, classes)

@@ -1,10 +1,10 @@
 """Property tests over random small specs: every strategy's matching
 verifies and meets its certificates, output is deterministic, nu never
-exceeds the exact optimum, and the interval form every construction emits
-reads, verifies and encodes exactly as the row-set form of the same edges.
-The CLI's emitted matching is byte for byte json.dumps of the library's
-report.  A fuzz of the CLI's JSON inputs checks that malformed files end in
-an exit code, never a traceback."""
+exceeds the exact optimum, and the class-list form every construction
+emits reads, verifies and encodes exactly as the row-set form of the same
+edges, faults included.  The CLI's emitted matching is byte for byte
+json.dumps of the library's report.  A fuzz of the CLI's JSON inputs
+checks that malformed files end in an exit code, never a traceback."""
 
 import contextlib
 import io
@@ -18,10 +18,8 @@ from hypothesis import strategies as st
 
 from sigmahg.cli import run
 from sigmahg.core import (
-    Edge,
     Matching,
     NoRepresentation,
-    VertexSet,
     make_spec,
     matching_to_json,
     spec_to_json,
@@ -41,7 +39,7 @@ from sigmahg.matching import (
 )
 from sigmahg.oracle import BudgetExceeded, OracleBudget, bf_max_matching
 
-from conftest import partitions
+from conftest import partitions, row_set_copy
 
 SIGMAS = [p for r in range(1, 7) for p in partitions(r)]
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
@@ -93,42 +91,23 @@ def test_repeated_calls_give_identical_json(spec):
     assert first == again
 
 
-def row_set_copy(m):
-    """The row-set matching of interval-form m, built from its intervals
-    without reading ``m.edges`` or ``m.unmatched``."""
-    s = len(m.parts)
-    edges = [
-        Edge(
-            (m.classes[k + i], range(m.rows[k + i], m.rows[k + i] + m.parts[i]))
-            for i in range(s)
-        )
-        for k in range(0, len(m.classes), s)
-    ]
-    unmatched = VertexSet.of((c, row) for c, lo, count in m.runs for row in range(lo, lo + count))
-    return Matching(edges, unmatched)
-
-
 def tampered(spec, m):
-    """Interval-form copies of m with one fault each."""
-    s, classes, rows, runs = len(m.parts), list(m.classes), list(m.rows), list(m.runs)
-    variants = [(classes, rows, runs + [(1, 1, 1)])]  # an extra unmatched vertex
-    if classes:
-        variants += [
-            (classes, [rows[0] + 1] + rows[1:], runs),  # a shifted first row
-            ([spec.n + 1] + classes[1:], rows, runs),  # a part off the grid
-            (classes, [spec.q] + rows[1:], runs),  # off the grid unless its size is 1
-            (classes[s:], rows[s:], runs),  # a dropped edge
-        ]
-        if s > 1:
-            variants.append(([classes[1]] + classes[1:], rows, runs))  # a repeated class
+    """(spec to verify against, class-list matching) pairs, each with one
+    fault a class list can hold."""
+    n, q, sigma = spec.n, spec.q, spec.sigma
+    s, classes = sigma.s, list(m.classes)
+    variants = []
+    if s > 1 and classes:
+        # edge 0 repeats a class
+        variants.append((spec, Matching.from_classes(spec, [classes[1]] + classes[1:])))
         # two parts of one size swapped between edge 0 and a later edge, so
-        # that edge 0 holds a class twice while the parts still tile the grid
+        # that edge 0 holds a class twice while every class load stays
         swap = next(
             (
                 (i, k)
                 for i in range(s)
                 for k in range(s, len(classes))
-                if m.parts[k % s] == m.parts[i]
+                if sigma.parts[k % s] == sigma.parts[i]
                 and classes[k] != classes[i]
                 and classes[k] in classes[:s]
             ),
@@ -136,24 +115,33 @@ def tampered(spec, m):
         )
         if swap:
             i, k = swap
-            swapped = [classes[:], rows[:]]
-            for flat in swapped:
-                flat[i], flat[k] = flat[k], flat[i]
-            variants.append((*swapped, runs))
-    return [Matching.from_intervals(m.parts, *v) for v in variants]
+            swapped = classes[:]
+            swapped[i], swapped[k] = classes[k], classes[i]
+            variants.append((spec, Matching.from_classes(spec, swapped)))
+    if n >= s:
+        # class 1 hosts more than q rows
+        piled = classes + list(range(1, s + 1)) * (q // sigma.parts[0] + 1)
+        variants.append((spec, Matching.from_classes(spec, piled)))
+    # a valid list checked against a spec with another q or another n
+    others = {(n, q + 1), (n, max(q - 1, 1)), (n + 1, q), (max(n - 1, 1), q)} - {(n, q)}
+    for other in sorted(others):
+        variants.append((make_spec(*other, sigma.parts), m))
+    return variants
 
 
 @DETERMINISTIC
 @given(specs)
-def test_interval_form_agrees_with_row_sets(spec):
+def test_class_list_form_agrees_with_row_sets(spec):
     for name, rep in strategy_reports(spec):
-        assert rep.matching.classes is not None, (spec, name)
         m = rep.matching
-        for variant in [m, canonicalize(spec, m), *tampered(spec, m)]:
+        assert m.spec == spec and m.classes is not None, (spec, name)
+        for against, variant in [(spec, m), (spec, canonicalize(spec, m)), *tampered(spec, m)]:
             copy = row_set_copy(variant)
             assert variant.edges == copy.edges, (spec, name)
             assert variant.unmatched == copy.unmatched, (spec, name)
-            assert verify_matching(spec, variant) == verify_matching(spec, copy), (spec, name)
+            assert verify_matching(against, variant) == verify_matching(against, copy), (
+                spec, name, against
+            )
             assert matching_to_json(variant) == matching_to_json(copy), (spec, name)
 
 
