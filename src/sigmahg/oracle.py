@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import time
 from functools import lru_cache
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import NamedTuple
 
 from .core import (
@@ -74,6 +74,9 @@ def _monotone_profiles(n: int, q: int):
     return itertools.combinations_with_replacement(range(q, -1, -1), n)
 
 
+_PROFILE_BLOCK = 4096  # profiles scored together; one block and its columns are held at a time
+
+
 @lru_cache(maxsize=256)
 def _profile_overlap_table(
     n: int, q: int, parts: tuple[int, ...], time_limit: float
@@ -85,14 +88,33 @@ def _profile_overlap_table(
     sum of min(part, profile entry).  Equal parts are interchangeable, so
     each distinct placement (each edge shape) is tried once - no
     rearrangement shortcut - so this stays independent of the fast path.
+
+    Profiles are taken in order, ``_PROFILE_BLOCK`` at a time.  A block
+    gets one column per (class c, part size a), min(a, b_c) for each of
+    its profiles b; each placement adds its parts' columns element by
+    element and folds the sums into the block's running worst.  The time
+    limit is checked before a block's first placement and after each one.
     """
     deadline = _Deadline(time_limit)
     shapes = [tuple(zip(cs, sizes)) for cs, sizes in edge_shapes(HypergraphSpec(n, q, Sigma(parts)))]
-    table = []
-    for profile in _monotone_profiles(n, q):
+    profiles = _monotone_profiles(n, q)
+    table: list[tuple[int, int]] = []
+    while block := list(itertools.islice(profiles, _PROFILE_BLOCK)):
+        entries = list(zip(*block))  # entries[c - 1]: b_c of every profile in the block
+        columns = {
+            (c, a): [b if b < a else a for b in entries[c - 1]]
+            for c in range(1, n + 1)
+            for a in set(parts)
+        }
+        worst = [0] * len(block)
         deadline.check("bf_alpha_k")
-        worst = max(sum(min(a, profile[c - 1]) for c, a in shape) for shape in shapes)
-        table.append((sum(profile), worst))
+        for shape in shapes:
+            overlap = columns[shape[0]]
+            for cell in shape[1:]:
+                overlap = map(add, overlap, columns[cell])
+            worst = list(map(max, worst, overlap))
+            deadline.check("bf_alpha_k")
+        table += zip(map(sum, block), worst)
     return tuple(table)
 
 

@@ -10,8 +10,10 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sigmahg import core
+from sigmahg import core, oracle
 from sigmahg.core import (
     HypergraphSpec,
     Sigma,
@@ -27,6 +29,7 @@ from sigmahg.oracle import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     OracleBudget,
+    _PROFILE_BLOCK,
     _Deadline,
     _monotone_profiles,
     _profile_overlap_table,
@@ -224,16 +227,44 @@ def reference_profile_overlap_table(n, q, parts):
 
 
 def reference_max_intersection(spec, b_sets):
-    """Maximum overlap of any edge with each of ``b_sets``, by draining
-    the stream of ``Edge`` objects once."""
-    best = [0] * len(b_sets)
-    for edge in enumerate_edges(spec):
-        vertices = frozenset(edge.vertices())
-        for i, b_set in enumerate(b_sets):
-            overlap = len(vertices & b_set.members)
-            if overlap > best[i]:
-                best[i] = overlap
-    return best
+    """Maximum overlap of any edge with each of ``b_sets``.  With numpy,
+    every row subset of every part in all n!/(n-s)! placements, equal
+    parts in every order, is scored against all the sets at once, a chunk
+    of placements at a time; else the stream of ``Edge`` objects is
+    drained once."""
+    try:
+        import numpy as np
+    except ImportError:
+        best = [0] * len(b_sets)
+        for edge in enumerate_edges(spec):
+            vertices = frozenset(edge.vertices())
+            for i, b_set in enumerate(b_sets):
+                overlap = len(vertices & b_set.members)
+                if overlap > best[i]:
+                    best[i] = overlap
+        return best
+    n, q, parts = spec.n, spec.q, spec.sigma.parts
+    member = np.array(  # member[c - 1, row - 1, i]: is (c, row) in b_sets[i]
+        [[[(c, row) in b.members for b in b_sets] for row in range(1, q + 1)] for c in range(1, n + 1)],
+        dtype=np.int64,
+    )
+    hits = {}  # size a -> [class, row subset, set]: |rows & B_c|
+    for a in set(parts):
+        subsets = np.array(list(itertools.combinations(range(q), a)))
+        hits[a] = member[:, subsets].sum(axis=2)
+    placements = np.array(list(itertools.permutations(range(n), len(parts))))
+    edges_per_placement = math.prod(math.comb(q, a) for a in parts)
+    step = max(1, 2**18 // (edges_per_placement * len(b_sets)))
+    best = np.zeros(len(b_sets), dtype=np.int64)
+    for lo in range(0, len(placements), step):
+        chunk = placements[lo : lo + step]
+        overlaps = 0  # [placement, row subset of part 1, ..., of part s, set]
+        for j, a in enumerate(parts):
+            shape = [len(chunk)] + [1] * len(parts) + [len(b_sets)]
+            shape[1 + j] = math.comb(q, a)
+            overlaps = overlaps + hits[a][chunk[:, j]].reshape(shape)
+        best = np.maximum(best, overlaps.reshape(-1, len(b_sets)).max(axis=0))
+    return best.tolist()
 
 
 def seeded_vertex_sets(spec, count=4):
@@ -258,6 +289,52 @@ def test_profile_overlap_table_matches_reference(r):
         for k in range(1, r):
             expected = max(total for total, worst in reference if worst <= k)
             assert bf_alpha_k(spec, k) == expected, (spec, k)
+
+
+@pytest.mark.parametrize("n, q, parts", [(8, 8, (2, 1)), (4, 3, (2,))])
+def test_profile_overlap_table_off_the_desk(n, q, parts):
+    # (8, 8, (2, 1)) has C(16, 8) = 12,870 profiles, more than three blocks;
+    # (2,) has one part, so each placement is a single column
+    assert _profile_overlap_table(n, q, parts, 60.0) == reference_profile_overlap_table(n, q, parts)
+
+
+overlap_specs = st.sampled_from([p for r in range(1, 6) for p in partitions(r)]).flatmap(
+    lambda parts: st.tuples(st.integers(len(parts), 6), st.integers(parts[0], 6), st.just(parts))
+)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(overlap_specs)
+def test_profile_overlap_table_property(spec):
+    n, q, parts = spec
+    assert _profile_overlap_table(n, q, parts, 60.0) == reference_profile_overlap_table(n, q, parts)
+
+
+def test_profile_overlap_table_draws_a_block_at_a_time(monkeypatch):
+    # Profiles are drawn one block at a time, never all C(n + q, n) at once,
+    # and the clock is read before each block's first placement and after
+    # every placement: 56 placements of (2, 1) on 8 classes, so 57 reads a block.
+    drawn, reads = [0], []
+    monotone_profiles = oracle._monotone_profiles
+
+    def counted(n, q):
+        for profile in monotone_profiles(n, q):
+            drawn[0] += 1
+            yield profile
+
+    class Clock:
+        def __init__(self, seconds):
+            pass
+
+        def check(self, what):
+            reads.append(drawn[0])
+
+    monkeypatch.setattr(oracle, "_monotone_profiles", counted)
+    monkeypatch.setattr(oracle, "_Deadline", Clock)
+    table = _profile_overlap_table.__wrapped__(8, 8, (2, 1), 60.0)
+    assert len(table) == drawn[0] == 12_870
+    blocks = [_PROFILE_BLOCK, 2 * _PROFILE_BLOCK, 3 * _PROFILE_BLOCK, 12_870]
+    assert reads == [seen for seen in blocks for _ in range(57)]
 
 
 @pytest.mark.parametrize("r", range(2, 7))
