@@ -20,8 +20,6 @@ from typing import TextIO
 from . import core
 from .core import (
     BudgetExceeded,
-    NoRepresentation,
-    NoSuchDesign,
     RegimeError,
     SigmaHypergraphError,
     ValidationError,
@@ -66,6 +64,14 @@ def _read_json(fh: TextIO) -> object:
         raise ValidationError(f"{fh.name}: JSON nested too deeply") from None
 
 
+def _int_list(flag: str, text: str) -> list[int]:
+    """The integers of a comma-separated option value; empty items are skipped."""
+    try:
+        return [int(x) for x in text.split(",") if x.strip() != ""]
+    except ValueError:
+        raise _UsageError(f"{flag} must be comma-separated integers, got {core._brief(text)}")
+
+
 def _load_spec(args: argparse.Namespace) -> core.HypergraphSpec:
     inline = args.n is not None or args.q is not None or args.sigma is not None
     if args.spec is not None and inline:
@@ -75,13 +81,7 @@ def _load_spec(args: argparse.Namespace) -> core.HypergraphSpec:
             return core.spec_from_json(_read_json(fh))
     if args.n is None or args.q is None or args.sigma is None:
         raise _UsageError("spec needs --n, --q and --sigma (or --spec FILE)")
-    try:
-        parts = [int(x) for x in args.sigma.split(",") if x.strip() != ""]
-    except ValueError:
-        raise _UsageError(
-            f"--sigma must be comma-separated integers, got {core._brief(args.sigma)}"
-        )
-    return core.make_spec(args.n, args.q, parts)
+    return core.make_spec(args.n, args.q, _int_list("--sigma", args.sigma))
 
 
 def _budget_limits() -> tuple[int, int, float]:
@@ -195,24 +195,12 @@ def _cmd_match(args: argparse.Namespace) -> int:
 
     spec = _load_spec(args)
     try:
-        if args.strategy == "auto":
-            report = matching.best_matching(spec)
-        elif args.strategy == "diagonal":
-            report = matching.MatchingReport.of(
-                spec, matching.diagonal_perfect_matching(spec), "diagonal"
-            )
-        elif args.strategy == "rectangular":
-            report = matching.rectangular_maximum_matching(spec)
-        elif args.strategy == "rgood":
-            report = matching.r_good_maximum_matching(spec)
-        else:
-            report = matching.MatchingReport.of(spec, matching.greedy_matching(spec), "greedy")
+        report = matching.STRATEGIES[args.strategy](spec)
     except (OverflowError, MemoryError) as exc:
         raise ValidationError(
             f"{spec} has {spec.num_vertices} vertices, too large to match in memory"
         ) from exc
-    payload = {"spec": core.spec_to_json(spec)}
-    payload.update(matching.report_to_json(report))
+    payload = {"spec": core.spec_to_json(spec), **matching.report_to_json(report)}
     if args.emit and args.format == "json":
         sys.stdout.write(core.dumps_with_matching(payload, report.matching) + "\n")
         return EXIT_OK
@@ -280,12 +268,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     else:  # intersection
         if args.profile is None:
             raise _UsageError("oracle intersection needs --profile, e.g. 3,1,0")
-        try:
-            counts = [int(x) for x in args.profile.split(",") if x.strip() != ""]
-        except ValueError:
-            raise _UsageError(
-                f"--profile must be comma-separated integers, got {core._brief(args.profile)}"
-            )
+        counts = _int_list("--profile", args.profile)
         b_set = core.VertexSet.from_profile(spec, counts)
         payload["profile"] = counts
         payload["max_intersection"] = oracle.bf_max_intersection(spec, b_set, budget)
@@ -341,7 +324,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("match", parents=[parent], help="construct a matching")
     p.add_argument(
-        "--strategy",
+        "--strategy",  # the keys of matching.STRATEGIES, spelt out so no other command imports it
         choices=("auto", "diagonal", "rectangular", "rgood", "greedy"),
         default="auto",
     )
@@ -380,7 +363,7 @@ def run(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (RegimeError, NoSuchDesign, NoRepresentation) as exc:
+    except RegimeError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_REGIME
     except BudgetExceeded as exc:

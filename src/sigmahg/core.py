@@ -11,6 +11,7 @@ and safe to share across threads.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -27,19 +28,20 @@ class ValidationError(SigmaHypergraphError, ValueError):
     """An input violates a documented precondition."""
 
 
-class NoRepresentation(SigmaHypergraphError):
-    """No nonnegative integer combination reaches the target."""
-
-
 class NoEdges(SigmaHypergraphError):
     """The operation needs at least one edge but the edge set is empty."""
 
 
 class RegimeError(SigmaHypergraphError):
-    """The requested construction's parameter regime does not apply."""
+    """The requested construction's parameter regime does not apply; the
+    base of every refusal a construction may give."""
 
 
-class NoSuchDesign(SigmaHypergraphError):
+class NoRepresentation(RegimeError):
+    """No nonnegative integer combination reaches the target."""
+
+
+class NoSuchDesign(RegimeError):
     """The requested combinatorial design does not exist."""
 
 
@@ -592,13 +594,41 @@ def spec_to_json(spec: HypergraphSpec) -> dict:
     return {"n": spec.n, "q": spec.q, "sigma": list(spec.sigma.parts)}
 
 
-def spec_from_json(obj: dict) -> HypergraphSpec:
+@contextlib.contextmanager
+def _decoding(kind: str, obj: object) -> Iterator[None]:
+    """Report a failure to decode obj as ``malformed <kind> object``; a
+    ValidationError from a constructor passes as it is."""
     try:
-        return make_spec(obj["n"], obj["q"], obj["sigma"])
+        yield
     except ValidationError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"malformed spec object: {_brief(obj)}") from exc
+        raise ValidationError(f"malformed {kind} object: {_brief(obj)}") from exc
+
+
+def _json_ints(*values: Iterable[object]) -> None:
+    """Refuse any value but a JSON integer (an int, not a bool or a float),
+    where the constructors would coerce it."""
+    if not set(map(type, itertools.chain(*values))) <= {int}:
+        raise TypeError("numbers must be integers")
+
+
+def _edges_from_json(objs: list) -> tuple[Edge, ...]:
+    """The edges of decoded edge objects, then one pass over all their
+    parts: every class and row a JSON integer, no row repeated in a part."""
+    edges = tuple(Edge([(part["class"], part["rows"]) for part in obj]) for obj in objs)
+    rows = [part["rows"] for obj in objs for part in obj]
+    _json_ints([part["class"] for obj in objs for part in obj], *rows)
+    if sum(map(len, rows)) != sum(e.size() for e in edges):
+        raise ValueError("repeated row")
+    return edges
+
+
+def spec_from_json(obj: dict) -> HypergraphSpec:
+    with _decoding("spec", obj):
+        spec = make_spec(obj["n"], obj["q"], obj["sigma"])
+        _json_ints((obj["n"], obj["q"]), obj["sigma"])
+        return spec
 
 
 def edge_to_json(edge: Edge) -> list:
@@ -606,12 +636,8 @@ def edge_to_json(edge: Edge) -> list:
 
 
 def edge_from_json(obj: list) -> Edge:
-    try:
-        return Edge([(part["class"], frozenset(part["rows"])) for part in obj])
-    except ValidationError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"malformed edge object: {_brief(obj)}") from exc
+    with _decoding("edge", obj):
+        return _edges_from_json([obj])[0]
 
 
 def matching_to_json(m: Matching) -> dict:
@@ -686,11 +712,11 @@ def _json_list(items: list[str], nl: str) -> str:
 
 
 def matching_from_json(obj: dict) -> Matching:
-    try:
-        edges = tuple(edge_from_json(e) for e in obj["edges"])
-        unmatched = VertexSet.of((v["class"], v["row"]) for v in obj["unmatched"])
-    except ValidationError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"malformed matching object: {_brief(obj)}") from exc
+    with _decoding("matching", obj):
+        edges = _edges_from_json(obj["edges"])
+        cells = [(v["class"], v["row"]) for v in obj["unmatched"]]
+        unmatched = VertexSet.of(cells)
+        _json_ints(*cells)
+        if len(unmatched) != len(cells):
+            raise ValueError("repeated unmatched cell")
     return Matching(edges, unmatched)

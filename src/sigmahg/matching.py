@@ -21,7 +21,6 @@ from typing import NamedTuple
 from .core import (
     HypergraphSpec,
     Matching,
-    NoRepresentation,
     NoSuchDesign,
     RegimeError,
     Sigma,
@@ -553,9 +552,7 @@ def r_good_maximum_matching(spec: HypergraphSpec) -> MatchingReport:
         raise RegimeError(f"{spec} has no edges")
     L = split.L
     if q % r == 0 and n >= s:
-        return MatchingReport.of(
-            spec, diagonal_perfect_matching(spec), "diagonal", (("nu_upper", n * q // r),)
-        )
+        return STRATEGIES["diagonal"](spec)._replace(certificates=(("nu_upper", n * q // r),))
     # gcd(L, r) = 1, and q = x*L + y*r with x, y >= 0 exactly when the least
     # x = q * L^-1 (mod r) has x*L <= q
     if n % r == 0 and q * pow(L, -1, r) % r * L <= q:
@@ -610,32 +607,29 @@ def best_matching(spec: HypergraphSpec) -> MatchingReport:
     """Return the report with the largest matching among the applicable
     strategies (ties go to the earlier strategy).
 
-    Order tried, by d = gcd(sigma): full-height bands (r | q), then for
-    d = 1 the all-ones construction, the r-good dispatcher and the greedy
-    fallback, and for d >= 2 contract-recurse-expand (the route rectangular
-    sigma with parts >= 2 takes), with greedy only when q < d leaves no
-    candidate.  With d >= 2 no part sum is coprime to r, and greedy's
-    choices equal its choices on the contraction, already weighed there.
-    No matching can exceed floor(n(q - q mod d)/r) edges, so the first
-    candidate reaching that ceiling wins.  Greedy is decided on class loads
-    and its matching built only when it beats every earlier candidate.
+    Builders tried, by d = gcd(sigma), each passed over when it raises a
+    RegimeError: full-height bands (r | q), then for d = 1 the all-ones
+    construction, the r-good dispatcher and the greedy fallback, and for
+    d >= 2 contract-recurse-expand (the route rectangular sigma with parts
+    >= 2 takes), with greedy only when q < d leaves no candidate.  With
+    d >= 2 no part sum is coprime to r, and greedy's choices equal its
+    choices on the contraction, already weighed there.  No matching can
+    exceed floor(n(q - q mod d)/r) edges, so the first candidate reaching
+    that ceiling wins.  Greedy is decided on class loads and its matching
+    built only when it beats every earlier candidate.
     """
     n, q, r, d = spec.n, spec.q, spec.r, spec.sigma.d
     ceiling = n * (q - q % d) // r
     best: MatchingReport | None = None
 
-    strategies = [lambda: MatchingReport.of(spec, diagonal_perfect_matching(spec), "diagonal")]
     if d >= 2:
-        strategies.append(lambda: _contract_route(spec, best_matching))
+        builders = (STRATEGIES["diagonal"], lambda spec: _contract_route(spec, best_matching))
     else:
-        if spec.sigma.r == spec.sigma.s:
-            strategies.append(lambda: all_ones_maximum_matching(spec))
-        if spec.sigma.s >= 2:
-            strategies.append(lambda: r_good_maximum_matching(spec))
-    for build in strategies:
+        builders = (STRATEGIES["diagonal"], all_ones_maximum_matching, r_good_maximum_matching)
+    for build in builders:
         try:
-            cand = build()
-        except (RegimeError, NoSuchDesign, NoRepresentation):
+            cand = build(spec)
+        except RegimeError:
             continue
         if best is None or cand.nu > best.nu:
             best = cand
@@ -654,3 +648,13 @@ def best_matching(spec: HypergraphSpec) -> MatchingReport:
     seen = {name for name, _ in certs}
     certs.extend((k, v) for k, v in best.certificates if k not in seen)
     return best._replace(certificates=tuple(certs))
+
+
+# ``match --strategy`` name -> builder; a builder whose regime fails raises RegimeError
+STRATEGIES: dict[str, Callable[[HypergraphSpec], MatchingReport]] = {
+    "auto": best_matching,
+    "diagonal": lambda spec: MatchingReport.of(spec, diagonal_perfect_matching(spec), "diagonal"),
+    "rectangular": rectangular_maximum_matching,
+    "rgood": r_good_maximum_matching,
+    "greedy": lambda spec: MatchingReport.of(spec, greedy_matching(spec), "greedy"),
+}

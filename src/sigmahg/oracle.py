@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import itertools
 import time
-from functools import lru_cache
-from operator import add, itemgetter
+from functools import lru_cache, reduce
+from operator import add, itemgetter, or_
 from typing import NamedTuple
 
 from .core import (
@@ -233,22 +233,8 @@ def _shown_colour_sets(column: tuple[int, ...], a: int) -> tuple[int, ...]:
 
 def _spread(lists: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
     """Least and most colours in a union of one colour set from each list."""
-    lo, hi, last = float("inf"), 0, len(lists) - 1
-
-    def walk(i: int, union: int) -> None:  # loops and compares: no set or tuple per union
-        nonlocal lo, hi
-        for mask in lists[i]:
-            if i < last:
-                walk(i + 1, union | mask)
-                continue
-            shown = (union | mask).bit_count()
-            if shown < lo:
-                lo = shown
-            if shown > hi:
-                hi = shown
-
-    walk(0, 0)
-    return lo, hi
+    shown = {reduce(or_, sets).bit_count() for sets in itertools.product(*lists)}
+    return min(shown), max(shown)
 
 
 @lru_cache(maxsize=64)

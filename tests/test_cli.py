@@ -2,7 +2,10 @@ import json
 import subprocess
 import sys
 
-from sigmahg.cli import run
+import pytest
+
+from sigmahg import matching
+from sigmahg.cli import build_parser, run
 
 
 def invoke(argv, capsys):
@@ -62,6 +65,13 @@ class TestAlphaCommand:
             code, out, err = invoke(["alpha", "--spec", str(blob), "--k", "1"], capsys)
             assert code == 1 and out == "" and err.startswith("error: sigma parts must be ")
             assert err.count("\n") == 1 and len(err.encode()) < 1000
+
+    def test_spec_file_with_non_integer_numbers_is_invalid(self, capsys, tmp_path):
+        blob = tmp_path / "spec.json"
+        blob.write_text('{"n": 2.9, "q": true, "sigma": [1.5, "1"]}')
+        code, out, err = invoke(["match", "--spec", str(blob)], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: malformed spec object: ") and err.count("\n") == 1
 
     def test_missing_k_is_invalid(self, capsys):
         code, _, err = invoke(["alpha", *SPEC], capsys)
@@ -137,6 +147,12 @@ class TestMatchCommand:
         assert payload["unproven_regime"] is True
         code, _, err = invoke(argv + ["--permissive"], capsys)
         assert code == 1 and "--permissive" in err
+
+    def test_strategy_choices_are_the_strategy_table(self):
+        parser = build_parser()
+        commands = next(a for a in parser._actions if a.dest == "command").choices
+        strategy = next(a for a in commands["match"]._actions if a.dest == "strategy")
+        assert strategy.choices == tuple(matching.STRATEGIES)
 
     def test_grid_too_large_to_build_is_invalid(self, capsys):
         # 10^20 classes overflow the first list a construction makes, so
@@ -259,6 +275,33 @@ class TestVerifyCommand:
         blob.write_text('{"edges": [[{"class": 1, "rows": []}]], "unmatched": []}')
         code, _, err = invoke(["verify", "--spec", str(good_spec), "--matching", str(blob)], capsys)
         assert code == 1 and err == "error: edge part with empty row set\n"
+
+    @pytest.mark.parametrize("edge", [
+        [{"class": 1, "rows": [1.9, 2]}, {"class": 2, "rows": [1]}],
+        [{"class": 1, "rows": [1, 2]}, {"class": 2, "rows": [True]}],
+        [{"class": 1, "rows": ["1", 2]}, {"class": 2, "rows": [1]}],
+        [{"class": "1", "rows": [1, 2]}, {"class": 2, "rows": [1]}],
+        [{"class": 1, "rows": [1, 1, 2]}, {"class": 2, "rows": [1]}],
+    ], ids=["float-row", "bool-row", "string-row", "string-class", "repeated-row"])
+    def test_matching_that_needs_coercion_is_invalid(self, capsys, tmp_path, edge):
+        # each would read as the one valid edge of H(2, 3, 2 | (2,1))
+        spec_args = ["--n", "2", "--q", "2", "--sigma", "2,1"]
+        unmatched = [{"class": 2, "row": 2}]
+        blob = tmp_path / "matching.json"
+        blob.write_text(json.dumps({"edges": [edge], "unmatched": unmatched}))
+        code, out, err = invoke(["verify", *spec_args, "--matching", str(blob)], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: malformed matching object: ") and err.count("\n") == 1
+
+    def test_unmatched_cell_listed_twice_is_invalid(self, capsys, tmp_path):
+        spec_args = ["--n", "2", "--q", "2", "--sigma", "2,1"]
+        edge = [{"class": 1, "rows": [1, 2]}, {"class": 2, "rows": [1]}]
+        blob = tmp_path / "matching.json"
+        for unmatched, want in (([{"class": 2, "row": 2}], 0), ([{"class": 2, "row": 2}] * 2, 1)):
+            blob.write_text(json.dumps({"edges": [edge], "unmatched": unmatched}))
+            code, out, err = invoke(["verify", *spec_args, "--matching", str(blob)], capsys)
+            assert code == want, err
+        assert out == "" and err.startswith("error: malformed matching object: ")
 
     def test_huge_malformed_matching_gives_a_short_error(self, capsys, tmp_path):
         good_spec = tmp_path / "spec.json"

@@ -374,6 +374,38 @@ class TestJsonCodecs:
         with pytest.raises(ValidationError):
             core.matching_from_json({"edges": [[{"class": 1}]], "unmatched": []})
 
+    def test_spec_decoder_takes_only_json_integers(self):
+        # make_spec coerces what it is given; JSON from outside may not lean on that
+        bad = {"n": 2.9, "q": True, "sigma": [1.5, "1"]}
+        assert make_spec(bad["n"], bad["q"], bad["sigma"]) == make_spec(2, 1, [1, 1])
+        with pytest.raises(ValidationError) as exc:
+            core.spec_from_json(bad)
+        assert str(exc.value) == f"malformed spec object: {bad!r}"
+
+    @pytest.mark.parametrize("part", [
+        {"class": 1, "rows": [1.9, 2]},
+        {"class": 1, "rows": [True]},
+        {"class": 1, "rows": ["1", 2]},
+        {"class": "1", "rows": [1, 2]},
+        {"class": 1, "rows": [1, 1, 2]},
+    ], ids=["float-row", "bool-row", "string-row", "string-class", "repeated-row"])
+    def test_edge_decoders_refuse_what_edge_would_coerce(self, part):
+        Edge([(part["class"], part["rows"])])  # the constructor coerces it
+        other = {"class": 2, "rows": [1]}
+        with pytest.raises(ValidationError, match="^malformed edge object: "):
+            core.edge_from_json([part, other])
+        with pytest.raises(ValidationError, match="^malformed matching object: "):
+            core.matching_from_json({"edges": [[part, other]], "unmatched": []})
+
+    def test_matching_decoder_refuses_a_repeated_unmatched_cell(self):
+        cell = {"class": 2, "row": 2}
+        edge = [{"class": 1, "rows": [1, 2]}, {"class": 2, "rows": [1]}]
+        assert core.matching_from_json({"edges": [edge], "unmatched": [cell]}).size == 1
+        with pytest.raises(ValidationError, match="^malformed matching object: "):
+            core.matching_from_json({"edges": [edge], "unmatched": [cell, cell]})
+        with pytest.raises(ValidationError, match="^malformed matching object: "):
+            core.matching_from_json({"edges": [edge], "unmatched": [dict(cell, row=2.0)]})
+
     def test_malformed_object_shown_up_to_a_cap(self):
         short = {"n": "abc", "q": 3, "sigma": [2, 1]}
         with pytest.raises(ValidationError) as exc:
@@ -478,6 +510,9 @@ class TestPackage:
         assert sigmahg.matching is matching and sigmahg.independence is independence
         assert matching.RegimeError is core.RegimeError
         assert matching.NoSuchDesign is core.NoSuchDesign
+        # one family of refusals: catching RegimeError catches them all
+        assert issubclass(core.NoSuchDesign, core.RegimeError)
+        assert issubclass(core.NoRepresentation, core.RegimeError)
         assert oracle.BudgetExceeded is core.BudgetExceeded
 
 

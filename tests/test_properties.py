@@ -19,24 +19,12 @@ from hypothesis import strategies as st
 from sigmahg.cli import run
 from sigmahg.core import (
     Matching,
-    NoRepresentation,
     make_spec,
     matching_to_json,
     spec_to_json,
     verify_matching,
 )
-from sigmahg.matching import (
-    MatchingReport,
-    NoSuchDesign,
-    RegimeError,
-    best_matching,
-    canonicalize,
-    diagonal_perfect_matching,
-    greedy_matching,
-    r_good_maximum_matching,
-    rectangular_maximum_matching,
-    report_to_json,
-)
+from sigmahg.matching import STRATEGIES, RegimeError, canonicalize, report_to_json
 from sigmahg.oracle import BudgetExceeded, OracleBudget, bf_max_matching
 
 from conftest import partitions, row_set_copy
@@ -52,17 +40,10 @@ specs = st.builds(
 
 def strategy_reports(spec):
     """Every strategy's report on spec, skipping those whose regime fails."""
-    builds = {
-        "auto": lambda: best_matching(spec),
-        "diagonal": lambda: MatchingReport.of(spec, diagonal_perfect_matching(spec), "diagonal"),
-        "rectangular": lambda: rectangular_maximum_matching(spec),
-        "rgood": lambda: r_good_maximum_matching(spec),
-        "greedy": lambda: MatchingReport.of(spec, greedy_matching(spec), "greedy"),
-    }
-    for name, build in builds.items():
+    for name, build in STRATEGIES.items():
         try:
-            yield name, build()
-        except (RegimeError, NoSuchDesign, NoRepresentation):
+            yield name, build(spec)
+        except RegimeError:
             pass
 
 
@@ -157,15 +138,6 @@ def test_nu_never_exceeds_the_exact_maximum(n, q, parts):
         assert rep.nu <= exact, (spec, name)
 
 
-CLI_STRATEGIES = {
-    "auto": ["--strategy", "auto"],
-    "diagonal": ["--strategy", "diagonal"],
-    "rectangular": ["--strategy", "rectangular"],
-    "rgood": ["--strategy", "rgood"],
-    "greedy": ["--strategy", "greedy"],
-}
-
-
 def run_cli(argv):
     """Exit code, stdout and stderr of ``cli.run(argv)``."""
     out, err = io.StringIO(), io.StringIO()
@@ -183,8 +155,10 @@ def test_emitted_matching_is_json_dumps_of_the_report(spec):
     spec_args = ["--n", str(spec.n), "--q", str(spec.q)]
     spec_args += ["--sigma", ",".join(map(str, spec.sigma.parts))]
     reports = dict(strategy_reports(spec))
-    for name, flags in CLI_STRATEGIES.items():
-        code, out, err = run_cli(["match", *spec_args, *flags, "--emit", "--format", "json"])
+    for name in STRATEGIES:
+        code, out, err = run_cli(
+            ["match", *spec_args, "--strategy", name, "--emit", "--format", "json"]
+        )
         if name not in reports:
             assert code == 2 and out == "", (spec, name, err)
             continue
