@@ -16,8 +16,8 @@ import itertools
 import json
 import math
 from collections import Counter
-from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from operator import eq, itemgetter
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 
 class SigmaHypergraphError(Exception):
@@ -301,10 +301,7 @@ class Matching:
     @property
     def edges(self) -> tuple[Edge, ...]:
         if self._edges is None:
-            self._edges = tuple(
-                Edge((c, range(row, row + a)) for c, row, a in parts)
-                for parts in _edge_parts(self)
-            )
+            self._edges = tuple(map(Edge, zip(*_part_columns(self, tuple))))
         return self._edges
 
     @property
@@ -471,6 +468,17 @@ class VerificationReport(NamedTuple):
         return not self.violations
 
 
+def _repeats_pairwise(columns: Sequence[Sequence[int]]) -> bool:
+    """True iff some edge repeats a class; columns[i][e] is the class of
+    part i of edge e.  One pass per pair of columns: cheapest for few parts."""
+    return any(any(map(eq, x, y)) for x, y in itertools.combinations(columns, 2))
+
+
+def _repeats_by_sets(columns: Sequence[Sequence[int]]) -> bool:
+    """As :func:`_repeats_pairwise`, by one set per edge: cheapest for many parts."""
+    return not set(map(len, map(set, zip(*columns)))) <= {len(columns)}
+
+
 def _loads_fit(spec: HypergraphSpec, classes: Sequence[int]) -> bool:
     """True iff no edge of the class list repeats a class and no class
     hosts more than q rows.  A class list laid on its own spec is then
@@ -478,7 +486,8 @@ def _loads_fit(spec: HypergraphSpec, classes: Sequence[int]) -> bool:
     unmatched run fills the rest."""
     parts, s = spec.sigma.parts, spec.sigma.s
     columns = [classes[i::s] for i in range(s)]
-    if s > 1 and not set(map(len, map(set, zip(*columns)))) <= {s}:
+    # the pairwise test makes (s-1)/2 passes over the list; it is the faster up to s = 4
+    if (_repeats_pairwise if s <= 4 else _repeats_by_sets)(columns):
         return False
     loads: Counter[int] = Counter()
     for a, column in zip(parts, columns):
@@ -581,6 +590,10 @@ def verify_matching(spec: HypergraphSpec, m: Matching) -> VerificationReport:
 #   spec:     {"n": int, "q": int, "sigma": [int, ...]}
 #   edge:     [{"class": int, "rows": [int, ...]}, ...]
 #   matching: {"edges": [edge, ...], "unmatched": [{"class": int, "row": int}, ...]}
+#
+# The objects the encoders return are read-only: in an encoded class-list
+# matching, every part laid on the same rows shares one "rows" list, so a
+# caller that edits one must copy it first (json.loads gives a fresh copy).
 # ---------------------------------------------------------------------------
 
 
@@ -641,27 +654,45 @@ def edge_from_json(obj: list) -> Edge:
 
 
 def matching_to_json(m: Matching) -> dict:
-    """The canonical object; a class-list matching is encoded from its laid
-    rows, each edge's parts in the order Edge keeps them."""
+    """The canonical object, each edge's parts in the order Edge keeps
+    them.  Read-only: a class-list matching is encoded from its laid rows,
+    and every part laid on the same rows shares one "rows" list, so copy
+    the object (or a part) before editing it."""
     if m.classes is None:
         edges = [edge_to_json(e) for e in m.edges]
         unmatched = sorted(m.unmatched.members)
     else:
-        edges = [
-            [{"class": c, "rows": list(range(row, row + a))} for c, row, a in parts]
-            for parts in _edge_parts(m)
+        columns = [
+            [{"class": c, "rows": rows} for c, rows in column]
+            for column in _part_columns(m, list)
         ]
+        # stable: parts of an edge in one class keep list order, which is row order
+        by_class = itemgetter("class")
+        edges = [sorted(parts, key=by_class) for parts in zip(*columns)]
         unmatched = _run_cells(m)
     return {"edges": edges, "unmatched": [{"class": c, "row": row} for c, row in unmatched]}
 
 
-def _edge_parts(m: Matching) -> Iterator[list[tuple[int, int, int]]]:
-    """Per edge of class-list m, its parts as (class, first row, size), in
-    the order Edge keeps them."""
+def _part_columns(m: Matching, run: Callable[[range], object]) -> list[Iterator[tuple]]:
+    """Column i holds part i of each edge of class-list m, in list order,
+    as (class, run(its rows)).  run is called once per distinct run of rows,
+    and every part laid on that run gets the same value.  Columns are read
+    through islice: slices would copy the class list and its rows, and on a
+    large matching the freed copies still raise the process's peak RSS."""
     parts, s = m.spec.sigma.parts, m.spec.sigma.s
-    rows = m._rows()[0]
-    for k in range(0, len(m.classes), s):
-        yield sorted(zip(m.classes[k : k + s], rows[k : k + s], parts))
+    firsts = m._rows()[0]
+
+    def column(seq: Sequence[int], i: int) -> Iterator[int]:
+        return itertools.islice(seq, i, None, s)
+
+    runs = {}
+    for a in set(parts):
+        rows = set().union(*(column(firsts, i) for i, b in enumerate(parts) if b == a))
+        runs[a] = {row: run(range(row, row + a)) for row in rows}
+    return [
+        zip(column(m.classes, i), map(runs[a].__getitem__, column(firsts, i)))
+        for i, a in enumerate(parts)
+    ]
 
 
 def _run_cells(m: Matching) -> list[tuple[int, int]]:
@@ -683,19 +714,21 @@ def dumps_with_matching(payload: dict, m: Matching) -> str:
 def _matching_text(m: Matching, nl: str) -> str:
     """The indent=2 JSON text of ``matching_to_json(m)`` with ``nl`` as its
     line break plus the indent of the line holding its opening brace.  A
-    class-list matching is written from one text template per part size,
-    the part's class and rows filled in by ``%``."""
+    class-list matching is written from one text per class and one per run
+    of rows, joined part by part."""
     if m.classes is None:
         return json.dumps(matching_to_json(m), sort_keys=True, indent=2).replace("\n", nl)
     nl1, nl2, nl3, nl4, nl5 = (nl + "  " * k for k in range(1, 6))
-    templates = {
-        a: "{%s\"class\": %%d,%s\"rows\": [%s%s%s]%s}"
-        % (nl4, nl4, nl5, ("," + nl5).join(["%d"] * a), nl4, nl3)
-        for a in set(m.spec.sigma.parts)
-    }
+
+    def rows_text(rows: range) -> str:
+        numbers = ("," + nl5).join(map(str, rows))
+        return ",%s\"rows\": [%s%s%s]%s}" % (nl4, nl5, numbers, nl4, nl3)
+
+    heads = ["{%s\"class\": %d" % (nl4, c) for c in range(m.spec.n + 1)]
+    by_class = itemgetter(0)
     edges = [
-        _json_list([templates[a] % (c, *range(row, row + a)) for c, row, a in parts], nl2)
-        for parts in _edge_parts(m)
+        _json_list([heads[c] + rows for c, rows in sorted(parts, key=by_class)], nl2)
+        for parts in zip(*_part_columns(m, rows_text))
     ]
     vertex = "{%s\"class\": %%d,%s\"row\": %%d%s}" % (nl3, nl3, nl2)
     unmatched = [vertex % cell for cell in _run_cells(m)]

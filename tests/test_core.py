@@ -265,6 +265,20 @@ class TestVerifyMatching:
         report = verify_matching(spec, m)
         assert any(v.kind == "non-edge" for v in report.violations)
 
+    @pytest.mark.parametrize("s", range(1, 14))
+    def test_both_repeated_class_checks_agree(self, s):
+        # _loads_fit picks pairwise columns for few parts, sets for many
+        rng = random.Random(s)
+        checks = (core._repeats_pairwise, core._repeats_by_sets)
+        for _ in range(20):
+            edges = rng.randint(0, 30)
+            classes = [c for _ in range(edges) for c in rng.sample(range(1, 2 * s + 3), s)]
+            assert not any(check([classes[i::s] for i in range(s)]) for check in checks)
+            if s > 1 and edges:
+                e, (x, y) = rng.randrange(edges), rng.sample(range(s), 2)
+                classes[e * s + x] = classes[e * s + y]
+                assert all(check([classes[i::s] for i in range(s)]) for check in checks)
+
     def test_unmatched_inconsistency_detected(self):
         spec = make_spec(3, 3, [2, 1])
         good = self._perfect(spec)

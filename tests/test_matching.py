@@ -912,6 +912,16 @@ class TestGreedyAndBest:
         assert len(obj["edges"]) == rep.nu == 200_000 and obj["unmatched"] == []
         assert calls == [spec]
 
+    def test_parts_on_one_run_share_one_rows_list(self):
+        # a diagonal band lays many parts on the same rows of different
+        # classes; the encoder builds one rows list per (first row, size) run
+        spec = make_spec(10, 10, [3, 2])
+        obj = core.matching_to_json(diagonal_perfect_matching(spec))
+        parts = [part for edge in obj["edges"] for part in edge]
+        runs = {(part["rows"][0], len(part["rows"])) for part in parts}
+        assert len(parts) == 40 and len(runs) == 8
+        assert len({id(part["rows"]) for part in parts}) == len(runs)
+
 
 class TestClassListConstructor:
     def test_refuses_a_partial_edge_and_a_class_off_the_grid(self):

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from sigmahg.cli import run
 from sigmahg.core import (
     Matching,
+    edge_to_json,
     make_spec,
     matching_to_json,
     spec_to_json,
@@ -126,6 +127,25 @@ def test_class_list_form_agrees_with_row_sets(spec):
             assert matching_to_json(variant) == matching_to_json(copy), (spec, name)
 
 
+def reference_json(m):
+    """matching_to_json's object, built plainly from the edges and the
+    unmatched cells."""
+    return {
+        "edges": [edge_to_json(e) for e in m.edges],
+        "unmatched": [{"class": c, "row": row} for c, row in sorted(m.unmatched.members)],
+    }
+
+
+@DETERMINISTIC
+@given(specs)
+def test_encoder_matches_the_reference_encoder(spec):
+    for name, rep in strategy_reports(spec):
+        for m in (rep.matching, row_set_copy(rep.matching)):
+            obj, want = matching_to_json(m), reference_json(m)
+            assert obj == want, (spec, name)
+            assert json.dumps(obj) == json.dumps(want), (spec, name)
+
+
 @DETERMINISTIC
 @given(st.integers(1, 6), st.integers(1, 4), st.sampled_from(SIGMAS))
 def test_nu_never_exceeds_the_exact_maximum(n, q, parts):
@@ -151,7 +171,7 @@ def run_cli(argv):
 @example(make_spec(6, 6, [3, 2, 1]))  # r | q: a perfect matching
 @given(specs)
 def test_emitted_matching_is_json_dumps_of_the_report(spec):
-    # the emitted text is written from templates, not by json.dumps
+    # the emitted text is written from per-class and per-run texts, not by json.dumps
     spec_args = ["--n", str(spec.n), "--q", str(spec.q)]
     spec_args += ["--sigma", ",".join(map(str, spec.sigma.parts))]
     reports = dict(strategy_reports(spec))
