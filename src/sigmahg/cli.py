@@ -43,16 +43,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _spec_parent() -> _Parser:
-    parent = _Parser(add_help=False)
-    parent.add_argument("--n", type=int, help="number of classes")
-    parent.add_argument("--q", type=int, help="vertices per class")
-    parent.add_argument("--sigma", type=str, help="comma-separated parts, e.g. 4,3,2")
-    parent.add_argument("--spec", type=str, help="JSON file with {n, q, sigma}")
-    parent.add_argument(
-        "--format", choices=("table", "json"), default="table", help="output format"
-    )
-    return parent
+def _parents() -> tuple[_Parser, _Parser]:
+    """The parent parsers of the spec options and of --format."""
+    spec = _Parser(add_help=False)
+    spec.add_argument("--n", type=int, help="number of classes")
+    spec.add_argument("--q", type=int, help="vertices per class")
+    spec.add_argument("--sigma", type=str, help="comma-separated parts, e.g. 4,3,2")
+    spec.add_argument("--spec", type=str, help="JSON file with {n, q, sigma}")
+    fmt = _Parser(add_help=False)
+    fmt.add_argument("--format", choices=("table", "json"), default="table", help="output format")
+    return spec, fmt
 
 
 def _read_json(fh: TextIO) -> object:
@@ -84,9 +84,9 @@ def _load_spec(args: argparse.Namespace) -> core.HypergraphSpec:
     return core.make_spec(args.n, args.q, _int_list("--sigma", args.sigma))
 
 
-def _budget_limits() -> tuple[int, int, float]:
-    """The oracle budget's (max_vertices, max_edges, time_limit): the
-    defaults scaled by the factor in SIGMA_HYPER_BUDGET, if set."""
+def _budget():
+    """The oracle budget: the defaults scaled by the factor in
+    SIGMA_HYPER_BUDGET, if set."""
     factor = 1.0
     raw = os.environ.get(BUDGET_ENV)
     if raw:
@@ -98,10 +98,10 @@ def _budget_limits() -> tuple[int, int, float]:
             raise _UsageError(f"{BUDGET_ENV} must be positive")
         if not math.isfinite(factor):
             raise _UsageError(f"{BUDGET_ENV} must be finite, got {core._brief(raw)}")
-    from .oracle import DEFAULT_BUDGET as base
+    from .oracle import DEFAULT_BUDGET as base, OracleBudget
 
     try:
-        return (
+        return OracleBudget(
             max(1, int(base.max_vertices * factor)),
             max(1, int(base.max_edges * factor)),
             base.time_limit * factor,
@@ -239,9 +239,9 @@ def _cmd_edges(args: argparse.Namespace) -> int:
     count = core.count_edges(spec)
     payload: dict = {"spec": core.spec_to_json(spec), "count": count}
     if args.list:
-        limit = _budget_limits()[1]
-        if count > limit:
-            raise BudgetExceeded(f"--list would print {count} edges, over the budget of {limit}")
+        from .oracle import check_edges
+
+        check_edges(spec, _budget(), "edges --list")
         payload["edges"] = [core.edge_to_json(e) for e in core.enumerate_edges(spec)]
     _emit(payload, args.format)
     return EXIT_OK
@@ -251,7 +251,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     from . import oracle
 
     spec = _load_spec(args)
-    budget = oracle.OracleBudget(*_budget_limits())
+    budget = _budget()
     payload: dict = {"spec": core.spec_to_json(spec), "oracle": args.which}
     if args.which == "alpha":
         if args.k is None:
@@ -268,7 +268,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     else:  # intersection
         if args.profile is None:
             raise _UsageError("oracle intersection needs --profile, e.g. 3,1,0")
-        counts = _int_list("--profile", args.profile)
+        counts = core._checked_profile(spec, _int_list("--profile", args.profile))
+        oracle.check_edges(spec, budget, "bf_max_intersection")
         b_set = core.VertexSet.from_profile(spec, counts)
         payload["profile"] = counts
         payload["max_intersection"] = oracle.bf_max_intersection(spec, b_set, budget)
@@ -307,22 +308,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="sigmahg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    parent = _spec_parent()
+    spec, fmt = _parents()
+    both = [spec, fmt]
 
-    p = sub.add_parser("alpha", parents=[parent], help="k-independence number")
+    p = sub.add_parser("alpha", parents=both, help="k-independence number")
     p.add_argument("--k", type=int)
     p.add_argument("--all", action="store_true", help="all k in 1..r-1")
     p.set_defaults(func=_cmd_alpha)
 
-    p = sub.add_parser("alpha-closed", parents=[parent], help="closed-form independence number")
+    p = sub.add_parser("alpha-closed", parents=both, help="closed-form independence number")
     p.set_defaults(func=_cmd_alpha_closed)
 
-    p = sub.add_parser("bounds", parents=[parent], help="constrained-colouring bounds")
+    p = sub.add_parser("bounds", parents=both, help="constrained-colouring bounds")
     p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--beta", type=int, required=True)
     p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("match", parents=[parent], help="construct a matching")
+    p = sub.add_parser("match", parents=both, help="construct a matching")
     p.add_argument(
         "--strategy",  # the keys of matching.STRATEGIES, spelt out so no other command imports it
         choices=("auto", "diagonal", "rectangular", "rgood", "greedy"),
@@ -331,15 +333,15 @@ def build_parser() -> _Parser:
     p.add_argument("--emit", action="store_true", help="include the full matching")
     p.set_defaults(func=_cmd_match)
 
-    p = sub.add_parser("verify", parents=[parent], help="check a matching file")
+    p = sub.add_parser("verify", parents=both, help="check a matching file")
     p.add_argument("--matching", required=True, help="JSON file, or - for stdin")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("edges", parents=[parent], help="edge census")
+    p = sub.add_parser("edges", parents=both, help="edge census")
     p.add_argument("--list", action="store_true")
     p.set_defaults(func=_cmd_edges)
 
-    p = sub.add_parser("oracle", parents=[parent], help="brute-force reference values")
+    p = sub.add_parser("oracle", parents=both, help="brute-force reference values")
     p.add_argument("which", choices=("alpha", "match", "colouring", "intersection"))
     p.add_argument("--k", type=int)
     p.add_argument("--alpha", type=int)
@@ -347,7 +349,7 @@ def build_parser() -> _Parser:
     p.add_argument("--profile", type=str)
     p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("sweep", parents=[parent], help="worked-example tables")
+    p = sub.add_parser("sweep", parents=[fmt], help="worked-example tables")
     p.add_argument("--paper-example", action="store_true")
     p.add_argument("--n-min", type=int, default=3)
     p.add_argument("--n-max", type=int, default=10)

@@ -226,25 +226,23 @@ class VertexSet(_Checked, _VertexSetFields):
     @classmethod
     def from_profile(cls, spec: HypergraphSpec, profile: Iterable[int]) -> "VertexSet":
         """Take the top ``profile[i]`` rows of class i+1."""
-        counts = list(profile)
-        if len(counts) > spec.n:
-            raise ValidationError(f"profile longer than class count {spec.n}")
-        members = set()
-        for i, b in enumerate(counts):
-            if b < 0 or b > spec.q:
-                raise ValidationError(f"profile entry {b} outside [0, q={spec.q}]")
-            for row in range(1, b + 1):
-                members.add(Vertex(i + 1, row))
-        return cls(frozenset(members))
+        counts = _checked_profile(spec, profile)
+        return cls(Vertex(i, row) for i, b in enumerate(counts, 1) for row in range(1, b + 1))
 
     def profile(self, n: int) -> tuple[int, ...]:
         """Per-class member counts (b_1, ..., b_n)."""
-        counts = [0] * n
+        rows = self.rows_by_class(n)
+        return tuple(len(rows.get(c, ())) for c in range(1, n + 1))
+
+    def rows_by_class(self, n: int) -> dict[int, list[int]]:
+        """The member rows of each class that has any; a class outside 1..n
+        raises ValidationError."""
+        rows: dict[int, list[int]] = {}
         for v in self.members:
             if not 1 <= v.class_index <= n:
                 raise ValidationError(f"vertex {v} outside class range 1..{n}")
-            counts[v.class_index - 1] += 1
-        return tuple(counts)
+            rows.setdefault(v.class_index, []).append(v.row_index)
+        return rows
 
     def __len__(self) -> int:
         return len(self.members)
@@ -254,6 +252,17 @@ class VertexSet(_Checked, _VertexSetFields):
 
     def __iter__(self) -> Iterator[Vertex]:
         return iter(sorted(self.members))
+
+
+def _checked_profile(spec: HypergraphSpec, profile: Iterable[int]) -> list[int]:
+    """A class profile's entries, refused unless at most n, each in 0..q."""
+    counts = list(profile)
+    if len(counts) > spec.n:
+        raise ValidationError(f"profile longer than class count {spec.n}")
+    for b in counts:
+        if b < 0 or b > spec.q:
+            raise ValidationError(f"profile entry {b} outside [0, q={spec.q}]")
+    return counts
 
 
 class Matching:
@@ -341,63 +350,52 @@ def _lay(spec: HypergraphSpec, classes: Sequence[int]) -> tuple[list[int], list[
     return rows, free
 
 
-def all_vertices(spec: HypergraphSpec) -> Iterator[Vertex]:
-    for class_index in range(1, spec.n + 1):
-        for row in range(1, spec.q + 1):
-            yield Vertex(class_index, row)
-
-
 def make_spec(n: int, q: int, parts: Iterable[int]) -> HypergraphSpec:
     """Build and validate a hypergraph spec; parts may be given in any order."""
     return HypergraphSpec(int(n), int(q), Sigma(tuple(parts)))
 
 
-def _in_range(spec: HypergraphSpec, v: Vertex) -> bool:
-    return 1 <= v.class_index <= spec.n and 1 <= v.row_index <= spec.q
-
-
 def is_edge(spec: HypergraphSpec, candidate: Edge) -> bool:
     """True iff the candidate's classes are distinct and its sorted part
     sizes realise sigma.  Out-of-range vertices raise ValidationError."""
-    for v in candidate.vertices():
-        if not _in_range(spec, v):
-            raise ValidationError(f"vertex {tuple(v)} outside the {spec.q}x{spec.n} grid")
-    classes = candidate.classes()
+    for c, row in candidate.vertices():
+        if not (c <= spec.n and row <= spec.q):  # Edge keeps indices >= 1
+            raise ValidationError(f"vertex {(c, row)} outside the {spec.q}x{spec.n} grid")
+    return _why_not_edge(spec, candidate) is None
+
+
+def _why_not_edge(spec: HypergraphSpec, edge: Edge) -> str | None:
+    """Why an on-grid edge is not an edge of spec (a repeated class, or
+    part sizes that do not realise sigma), or None if it is one."""
+    classes = edge.classes()
     if len(set(classes)) != len(classes):
-        return False
-    return candidate.sizes() == spec.sigma.parts
-
-
-def _distinct_permutations(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Distinct permutations of a multiset, in descending lexicographic order.
-
-    Each step lowers the rightmost entry that exceeds its successor to the
-    largest smaller value in the (ascending) tail behind it, then turns that
-    tail descending: the next permutation down.
-    """
-    perm = sorted(values, reverse=True)
-    while True:
-        yield tuple(perm)
-        i = len(perm) - 2
-        while i >= 0 and perm[i] <= perm[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = len(perm) - 1
-        while perm[j] >= perm[i]:
-            j -= 1
-        perm[i], perm[j] = perm[j], perm[i]
-        perm[i + 1 :] = perm[:i:-1]
+        return f"repeats class {classes}"
+    if edge.sizes() != spec.sigma.parts:
+        return f"part sizes {edge.sizes()} do not realise {spec.sigma}"
+    return None
 
 
 def edge_shapes(spec: HypergraphSpec) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Yield (classes, sizes) once per distinct placement of sigma's parts,
     n!/(n-s)!/prod(mult(v)!) in all, each carrying prod C(q, a) edges:
-    ascending over the class combination, then descending over sizes."""
+    ascending over the class combination, then descending over sizes.
+    The orders are built once: each distinct size takes every choice of
+    the slots still free."""
     if not spec.has_edges:
         return
+    orders = [(0,) * spec.sigma.s]  # 0 marks a free slot
+    for a, mult in Counter(spec.sigma.parts).items():
+        taken = []
+        for order in orders:
+            for chosen in itertools.combinations([i for i, x in enumerate(order) if not x], mult):
+                sizes = list(order)
+                for i in chosen:
+                    sizes[i] = a
+                taken.append(tuple(sizes))
+        orders = taken
+    orders.sort(reverse=True)
     for classes in itertools.combinations(range(1, spec.n + 1), spec.sigma.s):
-        for sizes in _distinct_permutations(spec.sigma.parts):
+        for sizes in orders:
             yield classes, sizes
 
 
@@ -510,7 +508,7 @@ def verify_matching(spec: HypergraphSpec, m: Matching) -> VerificationReport:
     """
     if m.spec == spec and _loads_fit(spec, m.classes):
         return VerificationReport(())
-    n, q, parts = spec.n, spec.q, spec.sigma.parts
+    n, q = spec.n, spec.q
     violations: list[Violation] = []
     try:
         owner = [-1] * (n * q)
@@ -542,19 +540,8 @@ def verify_matching(spec: HypergraphSpec, m: Matching) -> VerificationReport:
             violations.append(
                 Violation("non-edge", f"edge {idx} has out-of-range vertex {first_out}")
             )
-        else:
-            classes = edge.classes()
-            if len(set(classes)) != len(classes):
-                violations.append(
-                    Violation("non-edge", f"edge {idx} repeats class {classes}")
-                )
-            elif edge.sizes() != parts:
-                violations.append(
-                    Violation(
-                        "non-edge",
-                        f"edge {idx} part sizes {edge.sizes()} do not realise {spec.sigma}",
-                    )
-                )
+        elif (why := _why_not_edge(spec, edge)) is not None:
+            violations.append(Violation("non-edge", f"edge {idx} {why}"))
         violations.extend(overlaps)
     for v in sorted(m.unmatched.members):
         c, row = v

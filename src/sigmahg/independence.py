@@ -9,6 +9,7 @@ derive from the same machinery.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 from typing import NamedTuple
@@ -190,22 +191,26 @@ def max_intersection_edge(spec: HypergraphSpec, b_set: VertexSet) -> tuple[Edge,
     Sort classes by descending membership count and place the i-th largest
     part in the i-th heaviest class, taking members first and padding with
     non-members; no edge can do better, because swapping any two parts (or
-    moving one to a lighter class) never increases the overlap.
+    moving one to a lighter class) never increases the overlap.  Only the
+    classes ``b_set`` touches and the lowest untouched ones are visited,
+    and non-member rows are taken lowest first, lazily, so the work grows
+    with ``b_set`` and r, not with the grid.
     """
     if not spec.has_edges:
         raise NoEdges(f"{spec} has no edges")
-    profile = b_set.profile(spec.n)
+    members = b_set.rows_by_class(spec.n)
     for v in b_set.members:
         if not 1 <= v.row_index <= spec.q:
             raise ValidationError(f"vertex {tuple(v)} outside the grid")
-    order = sorted(range(1, spec.n + 1), key=lambda c: (-profile[c - 1], c))
+    heaviest = sorted(members, key=lambda c: (-len(members[c]), c))
+    untouched = (c for c in itertools.count(1) if c not in members)
     parts = []
     overlap = 0
-    for a_i, class_index in zip(spec.sigma.parts, order):
-        in_b = sorted(r for c, r in b_set.members if c == class_index)
-        out_b = sorted(set(range(1, spec.q + 1)) - set(in_b))
+    for a_i, class_index in zip(spec.sigma.parts, itertools.chain(heaviest, untouched)):
+        in_b = sorted(members.get(class_index, ()))
+        out_b = itertools.filterfalse(set(in_b).__contains__, itertools.count(1))
         take = min(a_i, len(in_b))
-        rows = in_b[:take] + out_b[: a_i - take]
+        rows = in_b[:take] + list(itertools.islice(out_b, a_i - take))
         overlap += take
         parts.append((class_index, frozenset(rows)))
     return Edge(tuple(parts)), overlap

@@ -54,19 +54,26 @@ class _Deadline:
             raise BudgetExceeded(f"{what} exceeded the time budget")
 
 
+def _check(what: str, count: int, noun: str, limit: int) -> None:
+    if count > limit:
+        raise BudgetExceeded(f"{what}: {count} {noun} exceeds budget {limit}")
+
+
 def _check_vertices(spec: HypergraphSpec, budget: OracleBudget, what: str) -> None:
-    if spec.num_vertices > budget.max_vertices:
-        raise BudgetExceeded(
-            f"{what}: {spec.num_vertices} vertices exceeds budget {budget.max_vertices}"
-        )
+    _check(what, spec.num_vertices, "vertices", budget.max_vertices)
 
 
-def _check_placements(spec: HypergraphSpec, budget: OracleBudget, what: str) -> None:
-    placements = count_placements(spec)
-    if placements > budget.max_edges:
-        raise BudgetExceeded(
-            f"{what}: {placements} distinct part placements exceeds budget {budget.max_edges}"
-        )
+def _check_search(spec: HypergraphSpec, budget: OracleBudget, what: str) -> None:
+    """The budget of a search over part placements: the vertices, then the
+    distinct placements, n!/(n-s)!/prod(mult(v)!), before any is built."""
+    _check_vertices(spec, budget, what)
+    _check(what, count_placements(spec), "distinct part placements", budget.max_edges)
+
+
+def check_edges(spec: HypergraphSpec, budget: OracleBudget, what: str) -> None:
+    """The budget of an edge stream, checked before the stream or anything
+    it is scored against is built."""
+    _check(what, count_edges(spec), "edges", budget.max_edges)
 
 
 def _monotone_profiles(n: int, q: int):
@@ -125,16 +132,14 @@ def bf_alpha_k(
 
     Classes are interchangeable, so the best k-independent set may be
     assumed to take the top b_i rows of class i with b monotone; every
-    distinct placement of the parts is checked against every profile.  The
-    number of distinct placements, n!/(n-s)!/prod(mult(v)!), is checked
-    against ``budget.max_edges`` before any is built.
+    distinct placement of the parts is checked against every profile, once
+    :func:`_check_search` admits them.
     """
     if not 1 <= k <= spec.r - 1:
         raise ValidationError(f"k must satisfy 1 <= k <= r-1 = {spec.r - 1}, got {k}")
     if not spec.has_edges:
         return spec.num_vertices
-    _check_vertices(spec, budget, "bf_alpha_k")
-    _check_placements(spec, budget, "bf_alpha_k")
+    _check_search(spec, budget, "bf_alpha_k")
     table = _profile_overlap_table(spec.n, spec.q, spec.sigma.parts, budget.time_limit)
     return max(total for total, worst in table if worst <= k)
 
@@ -150,12 +155,11 @@ def bf_max_matching(
     class capacities, streams the ``edge_shapes`` of its prefix that can
     still host a part, checking the time limit every 4096, and memoises
     states.  Exhaustive, just without re-deriving row identities.  The first
-    state's placements, the most of any, are checked as in :func:`bf_alpha_k`.
+    state's placements, the most of any, are checked by :func:`_check_search`.
     """
     if not spec.has_edges:
         return 0
-    _check_vertices(spec, budget, "bf_max_matching")
-    _check_placements(spec, budget, "bf_max_matching")
+    _check_search(spec, budget, "bf_max_matching")
     deadline = _Deadline(budget.time_limit)
     q, sigma, smallest = spec.q, spec.sigma, spec.sigma.parts[-1]
     memo: dict[tuple[int, ...], int] = {}
@@ -284,24 +288,20 @@ def bf_colouring_spectrum(
     how many colours are used, survive relabelling rows within a class,
     classes and colours, so count matrices, one or more per class of
     colourings, are scored (``_count_matrices``).  Returns (None, None)
-    when no colouring exists.  Bell(nq), the number of set partitions of
-    the vertices, is checked against ``budget.max_edges`` before any matrix
-    is built; the time limit is checked once per matrix.
+    when no colouring exists.  Past an edgeless spec, the vertices and
+    Bell(nq), the number of set partitions of them, are checked before any
+    matrix is built; the time limit is checked once per matrix.
     """
     r = spec.r
     if not 1 <= alpha_param <= beta_param <= r:
         raise ValidationError(
             f"need 1 <= alpha <= beta <= r={r}, got ({alpha_param}, {beta_param})"
         )
-    _check_vertices(spec, budget, "bf_colouring_spectrum")
     if not spec.has_edges:
         return 1, spec.num_vertices
-    partitions = _bell(spec.num_vertices)
-    if partitions > budget.max_edges:
-        raise BudgetExceeded(
-            f"bf_colouring_spectrum: {partitions} set partitions of {spec.num_vertices} "
-            f"vertices exceeds budget {budget.max_edges}"
-        )
+    nq, what = spec.num_vertices, "bf_colouring_spectrum"
+    _check_vertices(spec, budget, what)
+    _check(what, _bell(nq), f"set partitions of {nq} vertices", budget.max_edges)
     triples = _colouring_triples(spec.n, spec.q, spec.sigma.parts, budget.time_limit)
     valid = [used for used, lo, hi in triples if lo >= alpha_param and hi <= beta_param]
     return (min(valid), max(valid)) if valid else (None, None)
@@ -313,10 +313,8 @@ def bf_max_intersection(
     """Exact maximum overlap of any edge with ``b_set``, by scoring every
     edge in the stream as the sum of its parts' overlaps |rows & B_c|,
     counted once per (class, size) over that class's row subsets."""
-    total = count_edges(spec)
-    if total > budget.max_edges:
-        raise BudgetExceeded(f"{total} edges exceeds budget {budget.max_edges}")
-    if not total:
+    check_edges(spec, budget, "bf_max_intersection")
+    if not spec.has_edges:
         return 0
     deadline = _Deadline(budget.time_limit)
     members, rows = b_set.members, range(1, spec.q + 1)

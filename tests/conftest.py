@@ -15,6 +15,13 @@ def partitions(r, largest=None):
             yield (first,) + rest
 
 
+def all_vertices(spec):
+    """Every grid cell of spec, class by class, each class's rows in order."""
+    for class_index in range(1, spec.n + 1):
+        for row in range(1, spec.q + 1):
+            yield core.Vertex(class_index, row)
+
+
 def recheck_matching(spec, m):
     """From-scratch validity check, independent of verify_matching."""
     seen = set()
@@ -28,7 +35,7 @@ def recheck_matching(spec, m):
             if v in seen:
                 return False
             seen.add(v)
-    universe = set(core.all_vertices(spec))
+    universe = set(all_vertices(spec))
     if not m.unmatched.members <= universe:
         return False
     if seen & m.unmatched.members:

@@ -442,11 +442,69 @@ class TestOracleCommand:
         )
         assert code == 3
 
+    def test_edge_budget_refusals(self, capsys):
+        code, out, err = invoke(
+            ["edges", "--n", "100", "--q", "100", "--sigma", "3,2", "--list"], capsys
+        )
+        assert code == 3 and out == ""
+        assert err == "error: edges --list: 7924108500000 edges exceeds budget 200000\n"
+        code, out, err = invoke(
+            ["oracle", "intersection", "--n", "3", "--q", "60", "--sigma", "2,1",
+             "--profile", "60,0,0"],
+            capsys,
+        )
+        assert code == 3 and out == ""  # 3!/1! placements times C(60, 2) * 60 rows
+        assert err == "error: bf_max_intersection: 637200 edges exceeds budget 200000\n"
+
+    def test_intersection_budget_checked_before_the_set_is_built(self):
+        # 3 * 10^6 rows took about half a gigabyte as a VertexSet; the edge
+        # count is refused first, and a malformed profile is still invalid input
+        child = (
+            "import resource, subprocess, sys, time\n"
+            "argv = [sys.executable, '-m', 'sigmahg', 'oracle', 'intersection', '--n', '3',\n"
+            "        '--q', '3000000', '--sigma', '2,1', '--profile', sys.argv[1]]\n"
+            "start = time.perf_counter()\n"
+            "proc = subprocess.run(argv, capture_output=True, text=True)\n"
+            "elapsed = time.perf_counter() - start\n"
+            "rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024\n"
+            "print(proc.returncode, elapsed, rss, proc.stderr.count('\\n'))\n"
+        )
+        for profile, code in (("3000000,0,0", 3), ("3000001,0,0", 1), ("1,1,1,1", 1)):
+            proc = subprocess.run(
+                [sys.executable, "-c", child, profile], capture_output=True, text=True, timeout=60
+            )
+            assert proc.returncode == 0, proc.stderr
+            got, elapsed, rss, lines = proc.stdout.split()
+            assert (int(got), int(lines)) == (code, 1), profile
+            assert float(elapsed) < 5 and float(rss) < 50, (profile, elapsed, rss)
+
+    def test_edgeless_colouring_answers_past_the_vertex_budget(self, capsys):
+        code, payload, _ = invoke_json(
+            ["oracle", "colouring", "--n", "1", "--q", "40", "--sigma", "2,1",
+             "--alpha", "1", "--beta", "2"],
+            capsys,
+        )
+        assert code == 0
+        assert (payload["chi"], payload["chi_bar"]) == (1, 40)
+
 
 class TestSweepCommand:
     def test_requires_flag(self, capsys):
         code, _, _ = invoke(["sweep"], capsys)
         assert code == 1
+
+    def test_spec_options_are_invalid(self, capsys, tmp_path):
+        # the sweep's sigma is fixed, so a spec option is an error, not ignored
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text('{"n": 3, "q": 3, "sigma": [1]}')
+        for extra in (
+            ["--n", "3", "--q", "3", "--sigma", "1"],
+            ["--sigma", "3,2"],
+            ["--spec", str(spec_file)],
+        ):
+            code, out, err = invoke(["sweep", "--paper-example", *extra], capsys)
+            assert code == 1 and out == "", extra
+            assert err.startswith("error: ") and err.count("\n") == 1, extra
 
     def test_values_match_library(self, capsys):
         from sigmahg import alpha_k, make_spec

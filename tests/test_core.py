@@ -28,7 +28,7 @@ from sigmahg.core import (
     verify_matching,
 )
 
-from conftest import partitions, recheck_matching, small_specs
+from conftest import all_vertices, partitions, recheck_matching, small_specs
 
 
 def specs_up_to(max_vertices, max_r=6):
@@ -171,6 +171,26 @@ class TestEdgeShapes:
         ]
         stream = [(e.classes(), tuple(len(rs) for _, rs in e.parts)) for e in enumerate_edges(spec)]
         assert list(dict.fromkeys(stream)) == list(edge_shapes(spec))
+
+    def test_orders_are_the_distinct_permutations(self):
+        # the stream, per class combination, against every distinct order
+        # of sigma's parts sorted descending; r <= 8 includes eight parts
+        for r in range(1, 9):
+            for parts in partitions(r):
+                orders = sorted(set(itertools.permutations(parts)), reverse=True)
+                for n in (len(parts), len(parts) + 1):
+                    spec = make_spec(n, max(parts), parts)
+                    expected = [
+                        (classes, sizes)
+                        for classes in itertools.combinations(range(1, n + 1), len(parts))
+                        for sizes in orders
+                    ]
+                    assert list(edge_shapes(spec)) == expected, spec
+        twelve = make_spec(13, 2, [2] + [1] * 12)
+        shapes = list(edge_shapes(twelve))
+        assert [sizes.index(2) for _, sizes in shapes] == list(range(13))
+        ones = list(edge_shapes(make_spec(1100, 1, [1] * 1100)))
+        assert ones == [(tuple(range(1, 1101)), (1,) * 1100)]
 
 
 def reference_frobenius_decompose(target, u, v):
@@ -344,7 +364,7 @@ class TestVerifyMatching:
                 variants.append(Matching(base.edges[1:], base.unmatched))
                 variants.append(Matching(base.edges + (base.edges[0],), base.unmatched))
             # random garbage unmatched
-            verts = list(core.all_vertices(spec))
+            verts = list(all_vertices(spec))
             variants.append(
                 Matching(base.edges, VertexSet.of(rng.sample(verts, k=min(2, len(verts)))))
             )

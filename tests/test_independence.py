@@ -1,10 +1,12 @@
 import itertools
 import random
+import time
 
 import pytest
 
 from sigmahg import core, independence
 from sigmahg.core import (
+    Edge,
     NoEdges,
     Sigma,
     ValidationError,
@@ -23,7 +25,7 @@ from sigmahg.independence import (
     max_intersection_edge,
 )
 
-from conftest import partitions, small_specs
+from conftest import all_vertices, partitions, small_specs
 
 
 def stream_max_overlap(spec, b_set):
@@ -56,7 +58,7 @@ class TestMaxIntersectionEdge:
 
     def test_everything_gives_r(self):
         spec = make_spec(3, 9, [4, 3, 2])
-        b = VertexSet.of(core.all_vertices(spec))
+        b = VertexSet.of(all_vertices(spec))
         _, overlap = max_intersection_edge(spec, b)
         assert overlap == 9
 
@@ -77,12 +79,23 @@ class TestMaxIntersectionEdge:
         for spec in small_specs(max_r=4, max_n=4, max_q=3, with_edges_only=True):
             if count_edges(spec) > 2000:
                 continue
-            verts = list(core.all_vertices(spec))
+            verts = list(all_vertices(spec))
             for _ in range(3):
                 b = VertexSet.of(rng.sample(verts, k=rng.randint(0, len(verts))))
                 edge, overlap = max_intersection_edge(spec, b)
                 assert overlap == stream_max_overlap(spec, b), (spec, sorted(b.members))
                 assert sum(1 for v in edge.vertices() if v in b.members) == overlap
+
+    def test_huge_grid_answers_from_b_alone(self):
+        # n = q = 10^12: no per-class or per-row work, or this never returns
+        big = 10**12
+        spec = make_spec(big, big, [3, 2, 1])
+        b = VertexSet.of([(5, 7), (5, big), (big, 1)])
+        start = time.perf_counter()
+        edge, overlap = max_intersection_edge(spec, b)
+        assert time.perf_counter() - start < 1
+        assert overlap == 3
+        assert edge == Edge([(5, {1, 7, big}), (big, {1, 2}), (1, {1})])
 
 
 class TestIsKIndependent:
@@ -268,7 +281,7 @@ class TestAlphaClosedForm:
     def test_tiny_brute_force(self):
         # sigma=(2), n=2, q=2: check against all 2^4 subsets.
         spec = make_spec(2, 2, [2])
-        verts = list(core.all_vertices(spec))
+        verts = list(all_vertices(spec))
         edges = [frozenset(e.vertices()) for e in enumerate_edges(spec)]
         best = 0
         for size in range(len(verts) + 1):

@@ -40,7 +40,7 @@ from sigmahg.matching import (
 )
 from sigmahg.oracle import OracleBudget, bf_max_matching
 
-from conftest import partitions, row_set_copy
+from conftest import all_vertices, partitions, row_set_copy
 
 BUDGET = OracleBudget(max_vertices=32, max_edges=500_000, time_limit=60.0)
 
@@ -203,7 +203,7 @@ class TestCanonicalize:
 
     def test_empty_matching_unchanged(self):
         spec = make_spec(3, 3, [2, 1])
-        empty = Matching((), VertexSet.of(core.all_vertices(spec)))
+        empty = Matching((), VertexSet.of(all_vertices(spec)))
         canon = canonicalize(spec, empty)
         assert canon.edges == ()
         assert len(canon.unmatched) == 9
@@ -225,7 +225,8 @@ class TestCanonicalize:
         code = (
             "from sigmahg import core, matching\n"
             "spec = core.make_spec(5000, 40, [2, 1])\n"
-            "empty = core.Matching((), core.VertexSet.of(core.all_vertices(spec)))\n"
+            "cells = ((c, row) for c in range(1, 5001) for row in range(1, 41))\n"
+            "empty = core.Matching((), core.VertexSet.of(cells))\n"
             "canon = matching.canonicalize(spec, empty)\n"
             "print(canon.size, len(canon.unmatched))\n"
         )
@@ -312,7 +313,7 @@ class TestContractExpand:
     def test_expand_empty(self):
         spec = make_spec(3, 13, [4, 2])
         inner_spec, _ = contract(spec)
-        empty = Matching((), VertexSet.of(core.all_vertices(inner_spec)))
+        empty = Matching((), VertexSet.of(all_vertices(inner_spec)))
         lifted = expand(spec, empty)
         assert verify_matching(spec, lifted).ok
         assert lifted.edges == ()

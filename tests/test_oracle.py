@@ -39,7 +39,7 @@ from sigmahg.oracle import (
     bf_max_matching,
 )
 
-from conftest import partitions
+from conftest import all_vertices, partitions
 
 if TYPE_CHECKING:
     import numpy as np
@@ -49,7 +49,7 @@ BUDGET = OracleBudget(max_vertices=32, max_edges=500_000, time_limit=60.0)
 
 def subset_alpha_k(spec, k):
     """Third, even dumber reference: scan all vertex subsets."""
-    verts = list(core.all_vertices(spec))
+    verts = list(all_vertices(spec))
     edges = [frozenset(e.vertices()) for e in enumerate_edges(spec)]
     best = 0
     for size in range(len(verts), -1, -1):
@@ -271,7 +271,7 @@ def seeded_vertex_sets(spec, count=4):
     """Random vertex sets of several densities, some cells off the grid."""
     rng = random.Random(str(spec))
     cells = [(c, row) for c in range(1, spec.n + 2) for row in range(1, spec.q + 2)]
-    sets = [VertexSet(), VertexSet.of(core.all_vertices(spec))]
+    sets = [VertexSet(), VertexSet.of(all_vertices(spec))]
     for i in range(count):
         density = (i + 1) / (count + 1)
         sets.append(VertexSet.of(cell for cell in cells if rng.random() < density))
@@ -457,6 +457,8 @@ class TestBfMaxMatching:
 class TestBfColouringSpectrum:
     def test_no_edges_unconstrained(self):
         assert bf_colouring_spectrum(make_spec(1, 4, [1, 1]), 1, 2, BUDGET) == (1, 4)
+        # answered before the vertex count is checked, as the other oracles do
+        assert bf_colouring_spectrum(make_spec(1, 40, [2, 1]), 1, 2) == (1, 40)
 
     def test_wide_band_everything_works(self):
         spec = make_spec(3, 2, [2, 1])
@@ -546,7 +548,7 @@ class TestBfMaxIntersection:
 
     def test_everything(self):
         spec = make_spec(3, 2, [2, 1])
-        b = VertexSet.of(core.all_vertices(spec))
+        b = VertexSet.of(all_vertices(spec))
         assert bf_max_intersection(spec, b, BUDGET) == 3
 
     def test_agrees_with_fast_path(self):
@@ -554,7 +556,7 @@ class TestBfMaxIntersection:
 
         rng = random.Random(5)
         spec = make_spec(3, 2, [2, 1])
-        verts = list(core.all_vertices(spec))
+        verts = list(all_vertices(spec))
         for _ in range(20):
             b = VertexSet.of(rng.sample(verts, k=rng.randint(0, len(verts))))
             slow = bf_max_intersection(spec, b, BUDGET)
