@@ -270,7 +270,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             raise _UsageError("oracle intersection needs --profile, e.g. 3,1,0")
         counts = core._checked_profile(spec, _int_list("--profile", args.profile))
         oracle.check_edges(spec, budget, "bf_max_intersection")
-        b_set = core.VertexSet.from_profile(spec, counts)
+        # an edgeless spec answers 0 for any set, so it is given an empty one
+        b_set = core.VertexSet.from_profile(spec, counts if spec.has_edges else [])
         payload["profile"] = counts
         payload["max_intersection"] = oracle.bf_max_intersection(spec, b_set, budget)
     _emit(payload, args.format)

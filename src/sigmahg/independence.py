@@ -82,26 +82,43 @@ def enumerate_maximal_feasible(q: int, k: int, sigma: Sigma) -> list[FeasibleSeq
     return sorted(found, reverse=True)
 
 
-@lru_cache(maxsize=4096)
-def _best_heads(q: int, k: int, parts: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """For each last entry, the maximal profile of overlap k with the
-    largest (sum, profile), as (sum, s-entry head) pairs.
+def _final_layer(q: int, cap: int, parts: tuple[int, ...]) -> dict:
+    """Per final state (last entry, overlap spent <= cap), the largest
+    (sum, s-entry head) of a maximal profile ending in it.
 
-    A forward pass over the parts whose states are (last entry, overlap
-    spent); the future of a state depends on nothing else, so keeping its
-    best (sum, head) is exact.  Entries after the drop are at most k, so
-    a layer has O(k^2) states whatever n, q and a_1 are.
-    """
+    A forward pass over the parts; the future of a state depends on nothing
+    else, so keeping its best (sum, head) is exact.  Entries after the drop
+    are at most cap, so a layer has O(cap^2) states whatever n, q and a_1
+    are.  A state ending at spent k took only entries a run capped at k
+    takes, so the states of spent k are that run's final states."""
     layer = {(q, 0): (0, ())}
     for a in parts:
         nxt: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
         for (prev, spent), (total, head) in layer.items():
-            for b in _entries(a, prev, k - spent):
+            for b in _entries(a, prev, cap - spent):
                 key, cand = (b, spent + (b if b < a else a)), (total + b, head + (b,))
                 if cand > nxt.get(key, (-1,)):
                     nxt[key] = cand
         layer = nxt
-    return tuple(best for (_, spent), best in layer.items() if spent == k)
+    return layer
+
+
+@lru_cache(maxsize=4096)
+def _heads_by_spent(q: int, parts: tuple[int, ...]) -> dict[int, list]:
+    """The last run's final states per (q, parts), by overlap spent 0..cap."""
+    return {}
+
+
+def _best_heads(q: int, k: int, parts: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+    """The best (sum, head) of each last entry at overlap k; a k above the
+    held cap reruns the program at a cap at least twice as high."""
+    held = _heads_by_spent(q, parts)
+    if k not in held:
+        cap = max(k, min(sum(parts) - 1, 2 * max(held, default=0)))
+        held.clear()
+        for (_, spent), best in _final_layer(q, cap, parts).items():
+            held.setdefault(spent, []).append(best)
+    return held[k]
 
 
 def _best(spec: HypergraphSpec, k: int) -> tuple[int, tuple[int, ...]]:

@@ -241,7 +241,7 @@ def _spread(lists: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
     return min(shown), max(shown)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=128)
 def _colouring_triples(n: int, q: int, parts: tuple[int, ...], time_limit: float) -> frozenset:
     """(colours used, least and most colours on an edge) per count matrix: an edge shows
     the union of its parts' colour sets, scored once per distinct tuple of set lists."""

@@ -478,6 +478,38 @@ class TestOracleCommand:
             assert (int(got), int(lines)) == (code, 1), profile
             assert float(elapsed) < 5 and float(rss) < 50, (profile, elapsed, rss)
 
+    def test_edgeless_intersection_answers_without_building_the_set(self):
+        # 10^6 rows took 1.45 s and 139 MB as a VertexSet to print 0; no
+        # edge exists, so the answer needs no set
+        child = (
+            "import resource, subprocess, sys, time\n"
+            "argv = [sys.executable, '-m', 'sigmahg', 'oracle', 'intersection', '--n', '1',\n"
+            "        '--q', '1000000', '--sigma', '2,1', '--profile', '1000000', '--format', 'json']\n"
+            "start = time.perf_counter()\n"
+            "proc = subprocess.run(argv, capture_output=True, text=True)\n"
+            "elapsed = time.perf_counter() - start\n"
+            "rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024\n"
+            "print(proc.returncode, elapsed, rss)\n"
+            "print(proc.stdout)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        head, out = proc.stdout.split("\n", 1)
+        code, elapsed, rss = head.split()
+        assert code == "0" and json.loads(out)["max_intersection"] == 0
+        assert float(elapsed) < 5 and float(rss) < 50, (elapsed, rss)
+
+    def test_edgeless_intersection_still_refuses_a_malformed_profile(self, capsys):
+        for profile in ("1000001", "1,1"):
+            code, out, err = invoke(
+                ["oracle", "intersection", "--n", "1", "--q", "1000000", "--sigma", "2,1",
+                 "--profile", profile],
+                capsys,
+            )
+            assert (code, out, err.count("\n")) == (1, "", 1), profile
+
     def test_edgeless_colouring_answers_past_the_vertex_budget(self, capsys):
         code, payload, _ = invoke_json(
             ["oracle", "colouring", "--n", "1", "--q", "40", "--sigma", "2,1",

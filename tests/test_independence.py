@@ -1,8 +1,11 @@
 import itertools
+import math
 import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigmahg import core, independence
 from sigmahg.core import (
@@ -16,6 +19,7 @@ from sigmahg.core import (
     make_spec,
 )
 from sigmahg.independence import (
+    _entries,
     alpha,
     alpha_k,
     alpha_k_witness,
@@ -35,6 +39,62 @@ def stream_max_overlap(spec, b_set):
         (sum(1 for v in e.vertices() if v in members) for e in enumerate_edges(spec)),
         default=0,
     )
+
+
+def per_k_best_heads(q, k, parts):
+    """The dynamic program capped at k alone, keeping only its final states
+    of overlap k: the per-k reference for the held heads."""
+    layer = {(q, 0): (0, ())}
+    for a in parts:
+        nxt: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
+        for (prev, spent), (total, head) in layer.items():
+            for b in _entries(a, prev, k - spent):
+                key, cand = (b, spent + (b if b < a else a)), (total + b, head + (b,))
+                if cand > nxt.get(key, (-1,)):
+                    nxt[key] = cand
+        layer = nxt
+    return tuple(best for (_, spent), best in layer.items() if spent == k)
+
+
+def per_k_witness(n, q, parts, k):
+    """alpha_k and its length-n witness profile from the per-k reference."""
+    tail = n - len(parts)
+    heads = per_k_best_heads(q, k, parts)
+    value, head = max((total + tail * head[-1], head) for total, head in heads)
+    return value, head + (head[-1],) * tail
+
+
+SWEPT_SIGMAS = [p for r in range(2, 15) for p in partitions(r)]
+
+
+@st.composite
+def sweeps(draw):
+    """A spec with r <= 14 and an order of every k in 1..r-1."""
+    parts = draw(st.sampled_from(SWEPT_SIGMAS))
+    r = sum(parts)
+    q = parts[0] + draw(st.integers(0, 4))
+    n = len(parts) + draw(st.integers(0, 4))
+    ks = list(range(1, r))
+    order = draw(st.sampled_from(["ascending", "descending", "shuffled"]))
+    if order == "descending":
+        ks.reverse()
+    elif order == "shuffled":
+        ks = draw(st.permutations(ks))
+    return n, q, parts, ks
+
+
+def count_dp_runs(monkeypatch):
+    """Record the cap of every dynamic-program run alpha_k makes."""
+    caps = []
+    run = independence._final_layer
+
+    def counted(q, cap, parts):
+        caps.append(cap)
+        return run(q, cap, parts)
+
+    monkeypatch.setattr(independence, "_final_layer", counted)
+    independence._heads_by_spent.cache_clear()
+    return caps
 
 
 def brute_feasible_profiles(q, k, sigma):
@@ -269,6 +329,39 @@ class TestAlphaK:
                     for k in range(1, r):
                         assert alpha_k(make_spec(n + 1, q, parts), k) >= alpha_k(spec, k)
                         assert alpha_k(make_spec(n, q + 1, parts), k) >= alpha_k(spec, k)
+
+
+class TestHeldHeads:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(sweeps())
+    def test_any_order_of_k_matches_the_per_k_program(self, sweep):
+        n, q, parts, ks = sweep
+        independence._heads_by_spent.cache_clear()
+        spec = make_spec(n, q, parts)
+        for k in ks:
+            assert alpha_k_witness(spec, k) == per_k_witness(n, q, parts, k), (n, q, parts, k)
+
+    def test_a_cold_call_runs_one_program_at_its_k(self, monkeypatch):
+        caps = count_dp_runs(monkeypatch)
+        alpha_k(make_spec(4, 1000, [500, 400, 300]), 30)
+        assert caps == [30]
+        alpha_k(make_spec(5, 1000, [500, 400, 300]), 17)  # held: any n, k <= 30
+        assert caps == [30]
+
+    def test_an_ascending_sweep_doubles_the_cap(self, monkeypatch):
+        caps = count_dp_runs(monkeypatch)
+        spec = make_spec(14, 14, range(12, 0, -1))
+        values = [alpha_k(spec, k) for k in range(1, spec.r)]
+        assert values[-1] == alpha(spec)[0]
+        assert caps == [1, 2, 4, 8, 16, 32, 64, 77]
+        assert len(caps) <= math.ceil(math.log2(spec.r - 1)) + 1
+
+    def test_cleared_cache_gives_the_same_answers(self):
+        spec = make_spec(9, 7, [5, 3, 2, 2])
+        first = [alpha_k_witness(spec, k) for k in range(spec.r - 1, 0, -1)]
+        independence._heads_by_spent.cache_clear()
+        assert independence._heads_by_spent.cache_info().currsize == 0
+        assert [alpha_k_witness(spec, k) for k in range(spec.r - 1, 0, -1)] == first
 
 
 class TestAlphaClosedForm:

@@ -476,6 +476,18 @@ class TestBfColouringSpectrum:
     def test_infeasible_instance(self):
         assert bf_colouring_spectrum(make_spec(1, 9, [3]), 2, 2, BUDGET) == (None, None)
 
+    def test_a_cycle_over_the_desk_keeps_its_triples(self):
+        # a cache smaller than the desk's colouring specs evicts each entry
+        # just before the next pass asks for it, so that pass never hits
+        specs = desk_specs(max_vertices=9)
+        assert len(specs) >= 69
+        oracle._colouring_triples.cache_clear()
+        for _ in range(2):
+            for spec in specs:
+                bf_colouring_spectrum(spec, 1, spec.r, BUDGET)
+        info = oracle._colouring_triples.cache_info()
+        assert (info.misses, info.hits) == (len(specs), len(specs))
+
     def test_deterministic(self):
         spec = make_spec(2, 3, [2, 1])
         a = bf_colouring_spectrum(spec, 2, 3, BUDGET)
