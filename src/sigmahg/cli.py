@@ -20,6 +20,7 @@ from typing import TextIO
 from . import core
 from .core import (
     BudgetExceeded,
+    HypergraphSpec,
     RegimeError,
     SigmaHypergraphError,
     ValidationError,
@@ -110,21 +111,19 @@ def _budget():
         raise _UsageError(f"{BUDGET_ENV} is too large, got {core._brief(raw)}") from None
 
 
-def _render_table(payload: object, indent: int = 0, out=None) -> None:
-    out = out or sys.stdout
-    pad = "  " * indent
+def _render_table(payload: object, indent: int = 0) -> None:
+    out, pad = sys.stdout, "  " * indent
     if isinstance(payload, dict):
-        for key in payload:
-            value = payload[key]
+        for key, value in payload.items():
             if isinstance(value, (dict, list)):
                 out.write(f"{pad}{key}:\n")
-                _render_table(value, indent + 1, out)
+                _render_table(value, indent + 1)
             else:
                 out.write(f"{pad}{key}: {value}\n")
     elif isinstance(payload, list):
         for item in payload:
             if isinstance(item, (dict, list)):
-                _render_table(item, indent, out)
+                _render_table(item, indent)
                 out.write("\n" if indent == 0 else "")
             else:
                 out.write(f"{pad}- {item}\n")
@@ -139,79 +138,62 @@ def _emit(payload: dict, fmt: str) -> None:
         _render_table(payload)
 
 
-def _cmd_alpha(args: argparse.Namespace) -> int:
+# Each command but sweep is given the spec and the payload ``run`` starts with
+# "spec", fills in its own keys, and returns True only if it wrote its own output.
+
+
+def _cmd_alpha(spec: HypergraphSpec, args: argparse.Namespace, payload: dict) -> None:
     from . import independence
 
-    spec = _load_spec(args)
-    payload: dict = {"spec": core.spec_to_json(spec)}
+    def entry(k: int) -> dict:
+        value, profile = independence.alpha_k_witness(spec, k)
+        return {"k": k, "alpha_k": value, "profile": list(profile)}
+
     if args.all:
         if spec.r < 2:
             raise ValidationError("no valid k exists when r = 1")
-        values = []
-        for k in range(1, spec.r):
-            value, profile = independence.alpha_k_witness(spec, k)
-            values.append({"k": k, "alpha_k": value, "profile": list(profile)})
-        payload["values"] = values
+        payload["values"] = [entry(k) for k in range(1, spec.r)]
+    elif args.k is None:
+        raise _UsageError("alpha needs --k K or --all")
     else:
-        if args.k is None:
-            raise _UsageError("alpha needs --k K or --all")
-        value, profile = independence.alpha_k_witness(spec, args.k)
-        payload.update({"k": args.k, "alpha_k": value, "profile": list(profile)})
-    _emit(payload, args.format)
-    return EXIT_OK
+        payload.update(entry(args.k))
 
 
-def _cmd_alpha_closed(args: argparse.Namespace) -> int:
+def _cmd_alpha_closed(spec: HypergraphSpec, args: argparse.Namespace, payload: dict) -> None:
     from . import independence
 
-    spec = _load_spec(args)
-    value, j = independence.alpha(spec)
-    _emit({"spec": core.spec_to_json(spec), "alpha": value, "j": j}, args.format)
-    return EXIT_OK
+    payload["alpha"], payload["j"] = independence.alpha(spec)
 
 
-def _cmd_bounds(args: argparse.Namespace) -> int:
+def _cmd_bounds(spec: HypergraphSpec, args: argparse.Namespace, payload: dict) -> None:
     from . import independence
 
-    spec = _load_spec(args)
     b = independence.colouring_bounds(spec, args.alpha, args.beta)
-    _emit(
-        {
-            "spec": core.spec_to_json(spec),
-            "alpha": b.alpha_param,
-            "beta": b.beta_param,
-            "alpha_beta_independence": b.alpha_beta_ind,
-            "independence": b.alpha_ind,
-            "chi_lower": b.chi_lower,
-            "feasible": b.feasible,
-        },
-        args.format,
+    payload.update(
+        alpha=b.alpha_param, beta=b.beta_param, alpha_beta_independence=b.alpha_beta_ind,
+        independence=b.alpha_ind, chi_lower=b.chi_lower, feasible=b.feasible,
     )
-    return EXIT_OK
 
 
-def _cmd_match(args: argparse.Namespace) -> int:
+def _cmd_match(spec: HypergraphSpec, args: argparse.Namespace, payload: dict) -> bool:
     from . import matching
 
-    spec = _load_spec(args)
     try:
         report = matching.STRATEGIES[args.strategy](spec)
     except (OverflowError, MemoryError) as exc:
         raise ValidationError(
             f"{spec} has {spec.num_vertices} vertices, too large to match in memory"
         ) from exc
-    payload = {"spec": core.spec_to_json(spec), **matching.report_to_json(report)}
+    payload.update(matching.report_to_json(report))
     if args.emit and args.format == "json":
         sys.stdout.write(core.dumps_with_matching(payload, report.matching) + "\n")
-        return EXIT_OK
+        return True
     if args.emit:
         payload["matching"] = core.matching_to_json(report.matching)
-    _emit(payload, args.format)
-    return EXIT_OK
+    return False
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    spec = _load_spec(args)
+def _cmd_verify(spec: HypergraphSpec, args: argparse.Namespace, payload: dict) -> None:
     if args.matching == "-":
         obj = _read_json(sys.stdin)
     else:
@@ -219,45 +201,29 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             obj = _read_json(fh)
     if isinstance(obj, dict) and "matching" in obj:
         obj = obj["matching"]
-    m = core.matching_from_json(obj)
-    report = core.verify_matching(spec, m)
-    _emit(
-        {
-            "spec": core.spec_to_json(spec),
-            "ok": report.ok,
-            "violations": [
-                {"kind": v.kind, "message": v.message} for v in report.violations
-            ],
-        },
-        args.format,
-    )
-    return EXIT_OK if report.ok else EXIT_VIOLATIONS
+    report = core.verify_matching(spec, core.matching_from_json(obj))
+    payload["ok"] = report.ok
+    payload["violations"] = [{"kind": v.kind, "message": v.message} for v in report.violations]
 
 
-def _cmd_edges(args: argparse.Namespace) -> int:
-    spec = _load_spec(args)
-    count = core.count_edges(spec)
-    payload: dict = {"spec": core.spec_to_json(spec), "count": count}
+def _cmd_edges(spec: HypergraphSpec, args: argparse.Namespace, payload: dict) -> None:
+    payload["count"] = core.count_edges(spec)
     if args.list:
         from .oracle import check_edges
 
         check_edges(spec, _budget(), "edges --list")
         payload["edges"] = [core.edge_to_json(e) for e in core.enumerate_edges(spec)]
-    _emit(payload, args.format)
-    return EXIT_OK
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
+def _cmd_oracle(spec: HypergraphSpec, args: argparse.Namespace, payload: dict) -> None:
     from . import oracle
 
-    spec = _load_spec(args)
     budget = _budget()
-    payload: dict = {"spec": core.spec_to_json(spec), "oracle": args.which}
+    payload["oracle"] = args.which
     if args.which == "alpha":
         if args.k is None:
             raise _UsageError("oracle alpha needs --k")
-        payload["alpha_k"] = oracle.bf_alpha_k(spec, args.k, budget)
-        payload["k"] = args.k
+        payload.update(alpha_k=oracle.bf_alpha_k(spec, args.k, budget), k=args.k)
     elif args.which == "match":
         payload["nu"] = oracle.bf_max_matching(spec, budget)
     elif args.which == "colouring":
@@ -274,11 +240,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         b_set = core.VertexSet.from_profile(spec, counts if spec.has_edges else [])
         payload["profile"] = counts
         payload["max_intersection"] = oracle.bf_max_intersection(spec, b_set, budget)
-    _emit(payload, args.format)
-    return EXIT_OK
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> None:
+    """The paper's worked example; it has no spec, so ``run`` calls it apart."""
     from . import independence
 
     if not args.paper_example:
@@ -291,10 +256,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 entries.append(
                     {"k": k, "n": n, "q": q, "alpha_k": independence.alpha_k(spec, k)}
                 )
-    payload = {"sigma": [4, 3, 2], "entries": entries}
     if args.format == "json":
-        _emit(payload, "json")
-        return EXIT_OK
+        _emit({"sigma": [4, 3, 2], "entries": entries}, "json")
+        return
     for k in (6, 7, 8):
         sys.stdout.write(f"alpha_{k} for sigma=(4,3,2)\n")
         header = "n\\q " + " ".join(f"{q:>4}" for q in range(args.q_min, args.q_max + 1))
@@ -303,7 +267,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             row = [e["alpha_k"] for e in entries if e["k"] == k and e["n"] == n]
             sys.stdout.write(f"{n:>4} " + " ".join(f"{v:>4}" for v in row) + "\n")
         sys.stdout.write("\n")
-    return EXIT_OK
 
 
 def build_parser() -> _Parser:
@@ -365,18 +328,21 @@ def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
-    except RegimeError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_REGIME
-    except BudgetExceeded as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_BUDGET
+        if args.func is _cmd_sweep:
+            _cmd_sweep(args)
+            return EXIT_OK
+        spec = _load_spec(args)
+        payload = {"spec": core.spec_to_json(spec)}
+        if not args.func(spec, args, payload):
+            _emit(payload, args.format)
+        return EXIT_VIOLATIONS if payload.get("ok") is False else EXIT_OK
     except (
         _UsageError, SigmaHypergraphError, json.JSONDecodeError, UnicodeDecodeError, OSError
     ) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INVALID
+        if isinstance(exc, RegimeError):
+            return EXIT_REGIME
+        return EXIT_BUDGET if isinstance(exc, BudgetExceeded) else EXIT_INVALID
 
 
 def main() -> None:

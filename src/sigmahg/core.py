@@ -265,6 +265,18 @@ def _checked_profile(spec: HypergraphSpec, profile: Iterable[int]) -> list[int]:
     return counts
 
 
+def _check_k(k: int, r: int) -> None:
+    """Refuse an overlap k outside 1..r-1, the range of alpha_k."""
+    if not 1 <= k <= r - 1:
+        raise ValidationError(f"k must satisfy 1 <= k <= r-1 = {r - 1}, got {k}")
+
+
+def _check_colour_range(alpha: int, beta: int, r: int) -> None:
+    """Refuse an (alpha, beta) colouring constraint unless 1 <= alpha <= beta <= r."""
+    if not 1 <= alpha <= beta <= r:
+        raise ValidationError(f"need 1 <= alpha <= beta <= r={r}, got ({alpha}, {beta})")
+
+
 class Matching:
     """A set of edges plus the residual unmatched vertices, in one of two forms.
 
@@ -613,10 +625,20 @@ def _json_ints(*values: Iterable[object]) -> None:
         raise TypeError("numbers must be integers")
 
 
+def _as_list(value: object) -> list:
+    """value, refused unless a list: a string or an object would iterate as one."""
+    if not isinstance(value, list):
+        raise TypeError("expected a list")
+    return value
+
+
 def _edges_from_json(objs: list) -> tuple[Edge, ...]:
     """The edges of decoded edge objects, then one pass over all their
     parts: every class and row a JSON integer, no row repeated in a part."""
-    edges = tuple(Edge([(part["class"], part["rows"]) for part in obj]) for obj in objs)
+    edges = tuple(
+        Edge([(part["class"], _as_list(part["rows"])) for part in _as_list(obj)])
+        for obj in _as_list(objs)
+    )
     rows = [part["rows"] for obj in objs for part in obj]
     _json_ints([part["class"] for obj in objs for part in obj], *rows)
     if sum(map(len, rows)) != sum(e.size() for e in edges):
@@ -734,7 +756,7 @@ def _json_list(items: list[str], nl: str) -> str:
 def matching_from_json(obj: dict) -> Matching:
     with _decoding("matching", obj):
         edges = _edges_from_json(obj["edges"])
-        cells = [(v["class"], v["row"]) for v in obj["unmatched"]]
+        cells = [(v["class"], v["row"]) for v in _as_list(obj["unmatched"])]
         unmatched = VertexSet.of(cells)
         _json_ints(*cells)
         if len(unmatched) != len(cells):

@@ -21,6 +21,8 @@ from .core import (
     Sigma,
     ValidationError,
     VertexSet,
+    _check_colour_range,
+    _check_k,
 )
 
 
@@ -40,11 +42,6 @@ class FeasibleSequence(NamedTuple):
     def full(self, n: int) -> tuple[int, ...]:
         """The length-n profile with the constant tail made explicit."""
         return self.b + (self.b[-1],) * (n - len(self.b))
-
-
-def _check_k(k: int, r: int) -> None:
-    if not 1 <= k <= r - 1:
-        raise ValidationError(f"k must satisfy 1 <= k <= r-1 = {r - 1}, got {k}")
 
 
 def _entries(a: int, prev: int, left: int) -> list[int]:
@@ -184,10 +181,7 @@ def colouring_bounds(
     classes gives the chi lower bound and the feasibility inequality.
     """
     r = spec.r
-    if not 1 <= alpha_param <= beta_param <= r:
-        raise ValidationError(
-            f"need 1 <= alpha <= beta <= r={r}, got ({alpha_param}, {beta_param})"
-        )
+    _check_colour_range(alpha_param, beta_param, r)
     nq = spec.num_vertices
     ab = alpha_k(spec, beta_param) if beta_param <= r - 1 else nq
     a_ind = alpha(spec)[0]

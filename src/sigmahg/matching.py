@@ -21,6 +21,7 @@ from typing import NamedTuple
 from .core import (
     HypergraphSpec,
     Matching,
+    NoRepresentation,
     NoSuchDesign,
     RegimeError,
     Sigma,
@@ -553,11 +554,10 @@ def r_good_maximum_matching(spec: HypergraphSpec) -> MatchingReport:
     L = split.L
     if q % r == 0 and n >= s:
         return STRATEGIES["diagonal"](spec)._replace(certificates=(("nu_upper", n * q // r),))
-    # gcd(L, r) = 1, and q = x*L + y*r with x, y >= 0 exactly when the least
-    # x = q * L^-1 (mod r) has x*L <= q
-    if n % r == 0 and q * pow(L, -1, r) % r * L <= q:
-        m = Matching.from_classes(spec, _perfect_width_bands(spec, split, q, n))
-        return MatchingReport.of(spec, m, "rgood-1b", (("nu_upper", n * q // r),))
+    if n % r == 0:
+        with contextlib.suppress(NoRepresentation):  # q is no x*L + y*r
+            m = Matching.from_classes(spec, _perfect_width_bands(spec, split, q, n))
+            return MatchingReport.of(spec, m, "rgood-1b", (("nu_upper", n * q // r),))
     low, short = (L - 1) * (r - 1), ""
     if n >= s and q >= low:
         if n >= s + r:
@@ -609,23 +609,23 @@ def best_matching(spec: HypergraphSpec) -> MatchingReport:
 
     Builders tried, by d = gcd(sigma), each passed over when it raises a
     RegimeError: full-height bands (r | q), then for d = 1 the all-ones
-    construction, the r-good dispatcher and the greedy fallback, and for
-    d >= 2 contract-recurse-expand (the route rectangular sigma with parts
-    >= 2 takes), with greedy only when q < d leaves no candidate.  With
-    d >= 2 no part sum is coprime to r, and greedy's choices equal its
-    choices on the contraction, already weighed there.  No matching can
-    exceed floor(n(q - q mod d)/r) edges, so the first candidate reaching
-    that ceiling wins.  Greedy is decided on class loads and its matching
-    built only when it beats every earlier candidate.
+    construction, the r-good dispatcher and greedy, and for d >= 2
+    contract-recurse-expand (the route rectangular sigma with parts >= 2
+    takes).  With d >= 2 no part sum is coprime to r, and greedy's choices
+    equal its choices on the contraction, already weighed there, so greedy
+    answers only when q < d leaves no candidate.  No matching can exceed
+    floor(n(q - q mod d)/r) edges, so the first candidate reaching that
+    ceiling wins.
     """
     n, q, r, d = spec.n, spec.q, spec.r, spec.sigma.d
     ceiling = n * (q - q % d) // r
     best: MatchingReport | None = None
 
+    diagonal, greedy = STRATEGIES["diagonal"], STRATEGIES["greedy"]
     if d >= 2:
-        builders = (STRATEGIES["diagonal"], lambda spec: _contract_route(spec, best_matching))
+        builders = (diagonal, lambda spec: _contract_route(spec, best_matching))
     else:
-        builders = (STRATEGIES["diagonal"], all_ones_maximum_matching, r_good_maximum_matching)
+        builders = (diagonal, all_ones_maximum_matching, r_good_maximum_matching, greedy)
     for build in builders:
         try:
             cand = build(spec)
@@ -635,11 +635,7 @@ def best_matching(spec: HypergraphSpec) -> MatchingReport:
             best = cand
         if best.nu >= ceiling:
             break
-    else:  # no candidate reached the ceiling
-        if best is None or d == 1:
-            choices = _greedy_choices(spec)
-            if best is None or len(choices) > best.nu * spec.sigma.s:
-                best = MatchingReport.of(spec, Matching.from_classes(spec, choices), "greedy")
+    best = best or greedy(spec)
 
     certs = [("nu_upper", (n * q) // r)]
     if d >= 2:

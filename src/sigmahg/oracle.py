@@ -20,6 +20,8 @@ from .core import (
     ValidationError,
     VertexSet,
     _Checked,
+    _check_colour_range,
+    _check_k,
     count_edges,
     count_placements,
     edge_shapes,
@@ -135,8 +137,7 @@ def bf_alpha_k(
     distinct placement of the parts is checked against every profile, once
     :func:`_check_search` admits them.
     """
-    if not 1 <= k <= spec.r - 1:
-        raise ValidationError(f"k must satisfy 1 <= k <= r-1 = {spec.r - 1}, got {k}")
+    _check_k(k, spec.r)
     if not spec.has_edges:
         return spec.num_vertices
     _check_search(spec, budget, "bf_alpha_k")
@@ -292,11 +293,7 @@ def bf_colouring_spectrum(
     Bell(nq), the number of set partitions of them, are checked before any
     matrix is built; the time limit is checked once per matrix.
     """
-    r = spec.r
-    if not 1 <= alpha_param <= beta_param <= r:
-        raise ValidationError(
-            f"need 1 <= alpha <= beta <= r={r}, got ({alpha_param}, {beta_param})"
-        )
+    _check_colour_range(alpha_param, beta_param, spec.r)
     if not spec.has_edges:
         return 1, spec.num_vertices
     nq, what = spec.num_vertices, "bf_colouring_spectrum"

@@ -249,6 +249,13 @@ class TestVerifyCommand:
             '{"edges": [[{"class": NaN, "rows": [1]}]], "unmatched": []}',
             '{"edges": [], "unmatched": [{"class": "x", "row": 1}]}',
             '{"edges": [], "unmatched": [{"class": 1, "row": -Infinity}]}',
+            # a string or an object where a list belongs, which would iterate
+            # as an empty list
+            '{"edges": "", "unmatched": ""}',
+            '{"edges": {}, "unmatched": {}}',
+            '{"edges": [], "unmatched": {}}',
+            '{"edges": [{}], "unmatched": []}',
+            '{"edges": [[{"class": 1, "rows": {}}]], "unmatched": []}',
         ]
         cases = [["--n", "3", "--q", "3", "--sigma", "2,1", "--matching", "/nope"]]
         for i, text in enumerate(bad_specs):

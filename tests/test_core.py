@@ -440,6 +440,26 @@ class TestJsonCodecs:
         with pytest.raises(ValidationError, match="^malformed matching object: "):
             core.matching_from_json({"edges": [edge], "unmatched": [dict(cell, row=2.0)]})
 
+    @pytest.mark.parametrize("obj", [
+        {"edges": "", "unmatched": ""},
+        {"edges": {}, "unmatched": {}},
+        {"edges": [], "unmatched": {}},
+        {"edges": [{}], "unmatched": []},
+        {"edges": [[{"class": 1, "rows": {}}]], "unmatched": []},
+    ], ids=["string-lists", "object-lists", "object-unmatched", "object-edge", "object-rows"])
+    def test_matching_decoder_refuses_a_non_list_where_a_list_belongs(self, obj):
+        # each would iterate as an empty list
+        with pytest.raises(ValidationError, match="^malformed matching object: "):
+            core.matching_from_json(obj)
+
+    def test_edge_decoder_refuses_a_non_list_where_a_list_belongs(self):
+        for obj in ({}, "", [{"class": 1, "rows": {}}]):
+            with pytest.raises(ValidationError, match="^malformed edge object: "):
+                core.edge_from_json(obj)
+        # an empty list is a list: the constructor's own refusal stands
+        with pytest.raises(ValidationError, match="^edge part with empty row set$"):
+            core.edge_from_json([{"class": 1, "rows": []}])
+
     def test_malformed_object_shown_up_to_a_cap(self):
         short = {"n": "abc", "q": 3, "sigma": [2, 1]}
         with pytest.raises(ValidationError) as exc:

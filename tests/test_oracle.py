@@ -24,7 +24,7 @@ from sigmahg.core import (
     enumerate_edges,
     make_spec,
 )
-from sigmahg.independence import alpha_k, max_intersection_edge
+from sigmahg.independence import alpha_k, colouring_bounds, max_intersection_edge
 from sigmahg.oracle import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -589,6 +589,36 @@ class TestBfMaxIntersection:
     def test_no_edges_on_a_huge_grid(self):
         spec = make_spec(10**9, 1, [2, 1])
         assert bf_max_intersection(spec, VertexSet.of([(1, 1)])) == 0
+
+
+class TestRangeRules:
+    """A fast path and its oracle refuse an argument out of range with one message."""
+
+    @staticmethod
+    def messages(calls):
+        seen = set()
+        for call in calls:
+            with pytest.raises(ValidationError) as exc:
+                call()
+            seen.add(str(exc.value))
+        return seen
+
+    @pytest.mark.parametrize("n", [3, 1], ids=["edges", "edgeless"])
+    @pytest.mark.parametrize("k", [-1, 0, 3, 10])
+    def test_k(self, n, k):
+        spec = make_spec(n, 3, [2, 1])
+        calls = (lambda: alpha_k(spec, k), lambda: bf_alpha_k(spec, k, BUDGET))
+        assert self.messages(calls) == {f"k must satisfy 1 <= k <= r-1 = 2, got {k}"}
+
+    @pytest.mark.parametrize("n", [3, 1], ids=["edges", "edgeless"])
+    @pytest.mark.parametrize("a, b", [(0, 1), (2, 1), (1, 4), (4, 4), (-1, -2)])
+    def test_colour_range(self, n, a, b):
+        spec = make_spec(n, 3, [2, 1])
+        calls = (
+            lambda: colouring_bounds(spec, a, b),
+            lambda: bf_colouring_spectrum(spec, a, b, BUDGET),
+        )
+        assert self.messages(calls) == {f"need 1 <= alpha <= beta <= r=3, got ({a}, {b})"}
 
 
 class TestDeterminism:
