@@ -111,35 +111,35 @@ def _budget():
         raise _UsageError(f"{BUDGET_ENV} is too large, got {core._brief(raw)}") from None
 
 
-def _render_table(payload: object, indent: int = 0) -> None:
+def _render_table(payload: dict | list, indent: int = 0) -> None:
     out, pad = sys.stdout, "  " * indent
     if isinstance(payload, dict):
         for key, value in payload.items():
+            if isinstance(value, core.Matching):
+                value = core.matching_to_json(value)
             if isinstance(value, (dict, list)):
                 out.write(f"{pad}{key}:\n")
                 _render_table(value, indent + 1)
             else:
                 out.write(f"{pad}{key}: {value}\n")
-    elif isinstance(payload, list):
+    else:
         for item in payload:
             if isinstance(item, (dict, list)):
                 _render_table(item, indent)
                 out.write("\n" if indent == 0 else "")
             else:
                 out.write(f"{pad}- {item}\n")
-    else:
-        out.write(f"{pad}{payload}\n")
 
 
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        core.write_json(sys.stdout, payload)
     else:
         _render_table(payload)
 
 
 # Each command but sweep is given the spec and the payload ``run`` starts with
-# "spec", fills in its own keys, and returns True only if it wrote its own output.
+# "spec", and fills in its own keys; none writes to stdout.
 
 
 def _cmd_alpha(spec: HypergraphSpec, args: argparse.Namespace, payload: dict) -> None:
@@ -175,7 +175,7 @@ def _cmd_bounds(spec: HypergraphSpec, args: argparse.Namespace, payload: dict) -
     )
 
 
-def _cmd_match(spec: HypergraphSpec, args: argparse.Namespace, payload: dict) -> bool:
+def _cmd_match(spec: HypergraphSpec, args: argparse.Namespace, payload: dict) -> None:
     from . import matching
 
     try:
@@ -185,12 +185,8 @@ def _cmd_match(spec: HypergraphSpec, args: argparse.Namespace, payload: dict) ->
             f"{spec} has {spec.num_vertices} vertices, too large to match in memory"
         ) from exc
     payload.update(matching.report_to_json(report))
-    if args.emit and args.format == "json":
-        sys.stdout.write(core.dumps_with_matching(payload, report.matching) + "\n")
-        return True
     if args.emit:
-        payload["matching"] = core.matching_to_json(report.matching)
-    return False
+        payload["matching"] = report.matching
 
 
 def _cmd_verify(spec: HypergraphSpec, args: argparse.Namespace, payload: dict) -> None:
@@ -242,23 +238,22 @@ def _cmd_oracle(spec: HypergraphSpec, args: argparse.Namespace, payload: dict) -
         payload["max_intersection"] = oracle.bf_max_intersection(spec, b_set, budget)
 
 
-def _cmd_sweep(args: argparse.Namespace) -> None:
+def _cmd_sweep(args: argparse.Namespace, payload: dict) -> None:
     """The paper's worked example; it has no spec, so ``run`` calls it apart."""
     from . import independence
 
     if not args.paper_example:
         raise _UsageError("sweep needs --paper-example")
-    entries = []
+    entries = payload["entries"] = []
     for k in (6, 7, 8):
         for n in range(args.n_min, args.n_max + 1):
             for q in range(args.q_min, args.q_max + 1):
                 spec = core.make_spec(n, q, [4, 3, 2])
-                entries.append(
-                    {"k": k, "n": n, "q": q, "alpha_k": independence.alpha_k(spec, k)}
-                )
-    if args.format == "json":
-        _emit({"sigma": [4, 3, 2], "entries": entries}, "json")
-        return
+                entries.append({"k": k, "n": n, "q": q, "alpha_k": independence.alpha_k(spec, k)})
+
+
+def _sweep_table(args: argparse.Namespace, entries: list[dict]) -> None:
+    """sweep's table format: an n x q grid of alpha_k for each k."""
     for k in (6, 7, 8):
         sys.stdout.write(f"alpha_{k} for sigma=(4,3,2)\n")
         header = "n\\q " + " ".join(f"{q:>4}" for q in range(args.q_min, args.q_max + 1))
@@ -329,12 +324,16 @@ def run(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.func is _cmd_sweep:
-            _cmd_sweep(args)
-            return EXIT_OK
-        spec = _load_spec(args)
-        payload = {"spec": core.spec_to_json(spec)}
-        if not args.func(spec, args, payload):
-            _emit(payload, args.format)
+            payload = {"sigma": [4, 3, 2]}
+            _cmd_sweep(args, payload)
+            if args.format == "table":
+                _sweep_table(args, payload["entries"])
+                return EXIT_OK
+        else:
+            spec = _load_spec(args)
+            payload = {"spec": core.spec_to_json(spec)}
+            args.func(spec, args, payload)
+        _emit(payload, args.format)
         return EXIT_VIOLATIONS if payload.get("ok") is False else EXIT_OK
     except (
         _UsageError, SigmaHypergraphError, json.JSONDecodeError, UnicodeDecodeError, OSError

@@ -17,7 +17,7 @@ import json
 import math
 from collections import Counter
 from operator import eq, itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 
 class SigmaHypergraphError(Exception):
@@ -73,12 +73,12 @@ class Sigma(_Checked, _SigmaFields):
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int]) -> "Sigma":
-        if not parts:
-            raise ValidationError("sigma needs at least one part")
         try:
             norm = tuple(sorted((int(a) for a in parts), reverse=True))
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"sigma parts must be integers: {_brief(parts)}") from exc
+        if not norm:
+            raise ValidationError("sigma needs at least one part")
         if norm[-1] < 1:
             raise ValidationError(f"sigma parts must be positive: {_brief(parts)}")
         return super().__new__(cls, norm)
@@ -671,13 +671,10 @@ def matching_to_json(m: Matching) -> dict:
         edges = [edge_to_json(e) for e in m.edges]
         unmatched = sorted(m.unmatched.members)
     else:
-        columns = [
-            [{"class": c, "rows": rows} for c, rows in column]
-            for column in _part_columns(m, list)
-        ]
+        cols = [[{"class": c, "rows": rows} for c, rows in col] for col in _part_columns(m, list)]
         # stable: parts of an edge in one class keep list order, which is row order
         by_class = itemgetter("class")
-        edges = [sorted(parts, key=by_class) for parts in zip(*columns)]
+        edges = [sorted(parts, key=by_class) for parts in zip(*cols)]
         unmatched = _run_cells(m)
     return {"edges": edges, "unmatched": [{"class": c, "row": row} for c, row in unmatched]}
 
@@ -704,53 +701,55 @@ def _part_columns(m: Matching, run: Callable[[range], object]) -> list[Iterator[
     ]
 
 
-def _run_cells(m: Matching) -> list[tuple[int, int]]:
-    """The unmatched cells of class-list m, sorted."""
+def _run_cells(m: Matching) -> Iterator[tuple[int, int]]:
+    """The unmatched cells of class-list m, in sorted order."""
     free, q = m._rows()[1], m.spec.q
-    return [(c, row) for c in range(1, m.spec.n + 1) for row in range(free[c], q + 1)]
+    return ((c, row) for c in range(1, m.spec.n + 1) for row in range(free[c], q + 1))
 
 
-def dumps_with_matching(payload: dict, m: Matching) -> str:
-    """``json.dumps(dict(payload, matching=matching_to_json(m)),
-    sort_keys=True, indent=2)``, with the matching's text written apart and
-    spliced in where json.dumps puts its key."""
-    head, tail = json.dumps(dict(payload, matching=None), sort_keys=True, indent=2).split(
-        '\n  "matching": null'
-    )
-    return head + '\n  "matching": ' + _matching_text(m, "\n  ") + tail
+_BLOCK = 256  # item texts per write: few writes, and little text held at once
 
 
-def _matching_text(m: Matching, nl: str) -> str:
-    """The indent=2 JSON text of ``matching_to_json(m)`` with ``nl`` as its
-    line break plus the indent of the line holding its opening brace.  A
-    class-list matching is written from one text per class and one per run
-    of rows, joined part by part."""
-    if m.classes is None:
-        return json.dumps(matching_to_json(m), sort_keys=True, indent=2).replace("\n", nl)
-    nl1, nl2, nl3, nl4, nl5 = (nl + "  " * k for k in range(1, 6))
+def write_json(out: TextIO, payload: dict) -> None:
+    """Write ``json.dumps(payload, sort_keys=True, indent=2)`` and a newline,
+    a Matching under "matching" as its matching_to_json.  A class-list one
+    is laid, then written where json.dumps puts that key, _BLOCK edges or
+    cells a write, from one text per class and one per run of rows."""
+    m = payload.get("matching")
+    if not isinstance(m, Matching) or m.classes is None:
+        if isinstance(m, Matching):
+            payload = dict(payload, matching=matching_to_json(m))
+        out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        return
+    text = json.dumps(dict(payload, matching=None), sort_keys=True, indent=2)
+    head, tail = text.split('\n  "matching": null')
+    nl1, nl2, nl3, nl4, nl5 = ("\n" + "  " * k for k in range(2, 7))
 
     def rows_text(rows: range) -> str:
-        numbers = ("," + nl5).join(map(str, rows))
-        return ",%s\"rows\": [%s%s%s]%s}" % (nl4, nl5, numbers, nl4, nl3)
+        return ',%s"rows": [%s%s%s]%s}' % (nl4, nl5, ("," + nl5).join(map(str, rows)), nl4, nl3)
 
-    heads = ["{%s\"class\": %d" % (nl4, c) for c in range(m.spec.n + 1)]
+    heads = ['{%s"class": %d' % (nl4, c) for c in range(max(m.classes, default=0) + 1)]
     by_class = itemgetter(0)
-    edges = [
-        _json_list([heads[c] + rows for c, rows in sorted(parts, key=by_class)], nl2)
+    edges = (
+        "[" + nl3 + ("," + nl3).join([heads[c] + rows for c, rows in sorted(parts, key=by_class)])
+        + nl2 + "]"
         for parts in zip(*_part_columns(m, rows_text))
-    ]
-    vertex = "{%s\"class\": %%d,%s\"row\": %%d%s}" % (nl3, nl3, nl2)
-    unmatched = [vertex % cell for cell in _run_cells(m)]
-    return "{%s\"edges\": %s,%s\"unmatched\": %s%s}" % (
-        nl1, _json_list(edges, nl1), nl1, _json_list(unmatched, nl1), nl
     )
+    vertex = '{%s"class": %%d,%s"row": %%d%s}' % (nl3, nl3, nl2)
+    out.write(head + '\n  "matching": {' + nl1 + '"edges": ')
+    _write_list(out, edges, nl1)
+    out.write("," + nl1 + '"unmatched": ')
+    _write_list(out, map(vertex.__mod__, _run_cells(m)), nl1)
+    out.write("\n  }" + tail + "\n")
 
 
-def _json_list(items: list[str], nl: str) -> str:
-    """An indent=2 JSON list of item texts, ``nl`` as for the key line."""
-    if not items:
-        return "[]"
-    return "[" + nl + "  " + ("," + nl + "  ").join(items) + nl + "]"
+def _write_list(out: TextIO, items: Iterator[str], nl: str) -> None:
+    """Write an indent=2 JSON list of item texts; nl is a line break and the indent of its "["."""
+    lead, sep = "[" + nl + "  ", "," + nl + "  "
+    while block := list(itertools.islice(items, _BLOCK)):
+        out.write(lead + sep.join(block))
+        lead = sep
+    out.write(nl + "]" if lead == sep else "[]")
 
 
 def matching_from_json(obj: dict) -> Matching:

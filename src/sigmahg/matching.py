@@ -275,7 +275,7 @@ def rectangular_maximum_matching(spec: HypergraphSpec) -> MatchingReport:
     if delta == 1:
         return all_ones_maximum_matching(spec)
     report = _contract_route(spec, all_ones_maximum_matching)
-    expected = n * (q - q % delta) // r
+    expected = (n * q - gcd_unmatched_lower_bound(spec)) // r
     if report.nu != expected:
         raise SigmaHypergraphError(
             f"internal: constructed {report.nu} edges, expected {expected}"
@@ -618,7 +618,7 @@ def best_matching(spec: HypergraphSpec) -> MatchingReport:
     ceiling wins.
     """
     n, q, r, d = spec.n, spec.q, spec.r, spec.sigma.d
-    ceiling = n * (q - q % d) // r
+    ceiling = (n * q - gcd_unmatched_lower_bound(spec)) // r
     best: MatchingReport | None = None
 
     diagonal, greedy = STRATEGIES["diagonal"], STRATEGIES["greedy"]

@@ -211,6 +211,58 @@ class TestMatchCommand:
             assert verdict["ok"] is True
 
 
+    def test_emit_table(self, capsys):
+        argv = ["match", "--n", "2", "--q", "4", "--sigma", "2,1", "--emit"]
+        code, out, err = invoke(argv, capsys)
+        assert code == 0 and err == ""
+        assert out == (
+            "spec:\n  n: 2\n  q: 4\n  sigma:\n    - 2\n    - 1\n"
+            "nu: 2\nunmatched_count: 2\nstrategy: greedy\n"
+            "certificates:\n  name: nu_upper\n  value: 2\nunproven_regime: False\n"
+            "matching:\n  edges:\n"
+            "    class: 1\n    rows:\n      - 1\n      - 2\n    class: 2\n    rows:\n      - 1\n"
+            "    class: 1\n    rows:\n      - 3\n    class: 2\n    rows:\n      - 2\n      - 3\n"
+            "  unmatched:\n    class: 1\n    row: 4\n    class: 2\n    row: 4\n"
+        )
+
+
+    # a wrapper process waits for the one match child, so RUSAGE_CHILDREN is
+    # that child's peak RSS alone; the output is hashed as it arrives
+    EMIT_CHILD = """if True:
+        import hashlib, resource, subprocess, sys
+        child = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE)
+        digest, size = hashlib.sha256(), 0
+        while chunk := child.stdout.read(1 << 16):
+            digest.update(chunk)
+            size += len(chunk)
+        code = child.wait()  # only a reaped child counts in RUSAGE_CHILDREN
+        peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+        print(code, size, digest.hexdigest(), peak)
+    """
+
+    @pytest.mark.parametrize("n, q, sigma, size, digest, limit_mb", [
+        (1000, 1000, "3,2", 50450529,
+         "cc18d271d03c1c6f8c15cfb5dad8cc4d947fc380c1764060f6c23ad225be081e", 60),
+        (1, 500000, "2,1", 29389221,
+         "f0464b4ea00d82484cc03845a295fdf57f8959ed81d838b704e8cbb9f16aa46f", 40),
+        (29, 2536, "2" + ",1" * 12, 6477276,
+         "8a8680bfd9a044a30d7f9ee60c27fb81f357aa564968d672aa7f56f41f72f3c9", 35),
+    ])
+    def test_emit_child_writes_in_small_memory(self, n, q, sigma, size, digest, limit_mb):
+        # the matching is written a block at a time: the child's peak stays
+        # far below its output (50.5 MB at n = q = 1000) and no copy is made
+        argv = ["match", "--n", str(n), "--q", str(q), "--sigma", sigma, "--emit"]
+        proc = subprocess.run(
+            [sys.executable, "-c", self.EMIT_CHILD, sys.executable, "-m", "sigmahg", *argv,
+             "--format", "json"],
+            capture_output=True, text=True, check=True,
+        )
+        code, out_size, out_digest, peak = proc.stdout.split()
+        assert (int(code), int(out_size), out_digest) == (0, size, digest)
+        peak_mb = int(peak) / (2**20 if sys.platform == "darwin" else 2**10)
+        assert 0 < peak_mb < limit_mb, f"peak RSS {peak_mb:.1f} MB"
+
+
 class TestVerifyCommand:
     def test_tampered_matching_exits_four(self, capsys, tmp_path):
         spec_args = ["--n", "3", "--q", "9", "--sigma", "4,3,2"]
@@ -408,6 +460,20 @@ class TestOracleCommand:
         code, out, err = invoke(["oracle", "intersection", *spec_args, "--profile", "a,b"], capsys)
         assert code == 1 and out == ""
         assert err == "error: --profile must be comma-separated integers, got 'a,b'\n"
+        for which, message in (
+            ("alpha", "oracle alpha needs --k"),
+            ("colouring", "oracle colouring needs --alpha and --beta"),
+            ("intersection", "oracle intersection needs --profile, e.g. 3,1,0"),
+        ):
+            code, out, err = invoke(["oracle", which, *spec_args], capsys)
+            assert code == 1 and out == "" and err == f"error: {message}\n", which
+        code, out, err = invoke(["oracle", "colouring", *spec_args, "--alpha", "1"], capsys)
+        assert code == 1 and out == "" and err == "error: oracle colouring needs --alpha and --beta\n"
+        for raw in ("0", "-1"):
+            monkeypatch.setenv("SIGMA_HYPER_BUDGET", raw)
+            code, out, err = invoke(["oracle", "match", *spec_args], capsys)
+            assert code == 1 and out == "", raw
+            assert err == "error: SIGMA_HYPER_BUDGET must be positive\n"
         for raw in ("inf", "nan", "1e400"):
             monkeypatch.setenv("SIGMA_HYPER_BUDGET", raw)
             code, out, err = invoke(["oracle", "match", *spec_args], capsys)

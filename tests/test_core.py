@@ -1,5 +1,6 @@
 import ast
 import functools
+import io
 import itertools
 import json
 import math
@@ -234,6 +235,10 @@ class TestFrobenius:
     def test_rejects_non_coprime(self):
         with pytest.raises(ValidationError):
             frobenius_decompose(10, 2, 4)
+        for u, v in ((0, 3), (3, 0), (-1, 1)):
+            with pytest.raises(ValidationError) as exc:
+                frobenius_decompose(10, u, v)
+            assert str(exc.value) == f"need u, v >= 1, got u={u}, v={v}"
 
     def test_never_fails_above_threshold(self):
         for u in range(1, 11):
@@ -389,18 +394,39 @@ class TestJsonCodecs:
         blob = json.dumps(core.matching_to_json(m))
         assert core.matching_from_json(json.loads(blob)) == m
 
-    def test_dumps_with_matching_is_json_dumps(self):
-        # both forms, with and without edges and unmatched vertices
+    def test_write_json_is_json_dumps(self):
+        # both forms, with and without edges and unmatched vertices, and no matching
         from sigmahg.matching import greedy_matching
 
         for spec in small_specs(max_r=4, max_n=5, max_q=5):
             built = greedy_matching(spec)
-            for m in (built, Matching(built.edges, built.unmatched)):
-                payload = {"spec": core.spec_to_json(spec), "nu": m.size, "zz": [1, {"a": 2}]}
-                expected = dict(payload, matching=core.matching_to_json(m))
-                assert core.dumps_with_matching(payload, m) == json.dumps(
-                    expected, sort_keys=True, indent=2
-                ), spec
+            for m in (built, Matching(built.edges, built.unmatched), None):
+                payload = {"spec": core.spec_to_json(spec), "zz": [1, {"a": 2}]}
+                expected = dict(payload)
+                if m is not None:
+                    payload["matching"] = m
+                    expected["matching"] = core.matching_to_json(m)
+                out = io.StringIO()
+                core.write_json(out, payload)
+                assert out.getvalue() == json.dumps(expected, sort_keys=True, indent=2) + "\n", spec
+
+    def test_write_json_writes_a_large_matching_in_blocks(self):
+        spec = make_spec(40, 30, [2, 1])
+        m = Matching.from_classes(spec, [1, 2] * 10 + [3, 4] * 10)
+        writes = []
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                writes.append(len(text))
+                return super().write(text)
+
+        out = Recorder()
+        core.write_json(out, {"matching": m})
+        expected = json.dumps({"matching": core.matching_to_json(m)}, sort_keys=True, indent=2)
+        assert out.getvalue() == expected + "\n"
+        # 20 edges and 1,140 unmatched cells, never more than one block in a write
+        assert len(writes) > 1140 // core._BLOCK
+        assert max(writes) < len(expected) // 3
 
     def test_malformed_inputs_raise(self):
         with pytest.raises(ValidationError):
@@ -487,6 +513,10 @@ class TestVertexSet:
             VertexSet.from_profile(spec, [4, 0, 0])
         with pytest.raises(ValidationError):
             VertexSet.from_profile(spec, [1, 1, 1, 1])
+        for cell in ((4, 1), (0, 1)):
+            with pytest.raises(ValidationError) as exc:
+                VertexSet.of([cell]).profile(3)
+            assert str(exc.value) == f"vertex {Vertex(*cell)} outside class range 1..3"
 
 
 class TestEdgeContainer:
@@ -625,6 +655,7 @@ class TestRecords:
 
         cases = [
             (lambda: core.Sigma(()), "sigma needs at least one part"),
+            (lambda: core.Sigma(iter(())), "sigma needs at least one part"),
             (lambda: core.Sigma(("x",)), "sigma parts must be integers: ('x',)"),
             (lambda: core.Sigma((2, 0)), "sigma parts must be positive: (2, 0)"),
             (lambda: make_spec(0, 3, [1]), "need n >= 1 and q >= 1, got n=0, q=3"),

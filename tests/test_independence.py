@@ -156,6 +156,10 @@ class TestMaxIntersectionEdge:
         assert time.perf_counter() - start < 1
         assert overlap == 3
         assert edge == Edge([(5, {1, 7, big}), (big, {1, 2}), (1, {1})])
+        # a row past q is refused
+        with pytest.raises(ValidationError) as exc:
+            max_intersection_edge(spec, VertexSet.of([(5, big + 1)]))
+        assert str(exc.value) == f"vertex {(5, big + 1)} outside the grid"
 
 
 class TestIsKIndependent:
@@ -166,6 +170,9 @@ class TestIsKIndependent:
     def test_empty_set(self):
         spec = make_spec(3, 2, [2, 1])
         assert is_k_independent(spec, VertexSet(), 1)
+        # with no edges, every set is k-independent
+        edgeless = make_spec(1, 2, [1, 1])
+        assert is_k_independent(edgeless, VertexSet.from_profile(edgeless, [2]), 1)
 
     def test_heavier_profile_fails(self):
         spec = make_spec(3, 2, [2, 1])
